@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   fleet::LoadGen load(&cluster, lcfg);
   load.Start();
 
-  sim::CdfBuilder cdf;
+  sim::Summary cdf;
   std::vector<std::vector<sim::Duration>> last_work(kNodes);
   for (int n = 0; n < kNodes; ++n) {
     last_work[n].assign(cluster.node(n).service_count(), 0);
@@ -71,6 +71,6 @@ int main(int argc, char** argv) {
     std::snprintf(key, sizeof(key), "fraction_below_%.1f_pct", x);
     json.Metric(key, cdf.FractionBelow(x));
   }
-  json.Metric("p99_util_pct", cdf.Quantile(0.99));
+  json.Metric("p99_util_pct", cdf.Percentile(99));
   return json.Write() ? 0 : 1;
 }

@@ -115,8 +115,9 @@ class Cluster {
   // --- Fleet aggregation ---
 
   // Merges the summary registered under `metric` on every node into one
-  // fleet summary (exact percentiles over the union of samples). Nodes
-  // without the metric contribute nothing.
+  // fleet summary by adding buckets: the summary that would have observed
+  // the union of the samples, with percentiles within 2^-8 of the exact
+  // ones. Nodes without the metric contribute nothing.
   sim::Summary MergeSummaryMetric(const std::string& metric) const;
 
   // Rolls every node's flow monitor for one tap (rx/dp/tx) into a single

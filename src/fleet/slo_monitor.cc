@@ -7,15 +7,15 @@
 namespace taichi::fleet {
 
 SloMonitor::SloMonitor(Cluster* cluster, SloConfig config)
-    : cluster_(cluster), config_(std::move(config)), cursor_(cluster->size(), 0) {
+    : cluster_(cluster), config_(std::move(config)), baseline_(cluster->size()) {
   if (config_.percentile < 0 || config_.percentile > 100) {
     TAICHI_ERROR(0, "slo: percentile %.1f out of range, using p99", config_.percentile);
     config_.percentile = 99.0;
   }
 }
 
-SloMonitor::Report SloMonitor::Evaluate(const std::vector<int>& subset, bool windowed,
-                                        std::vector<size_t>* cursors) const {
+SloMonitor::Report SloMonitor::Evaluate(const std::vector<int>& subset,
+                                        std::vector<Baseline>* baselines) const {
   Report report;
   report.at = cluster_->Now();
   report.nodes.resize(cluster_->size());
@@ -34,25 +34,24 @@ SloMonitor::Report SloMonitor::Evaluate(const std::vector<int>& subset, bool win
     if (metric == nullptr) {
       continue;
     }
-    const std::vector<double>& samples = metric->samples();
-    size_t begin = windowed ? (*cursors)[i] : 0;
-    if (begin > samples.size()) {
-      // The node's summary was cleared/re-registered; restart the window.
-      begin = 0;
-    }
-    sim::Summary window;
-    for (size_t s = begin; s < samples.size(); ++s) {
-      window.Add(samples[s]);
-      if (in_subset[i]) {
-        fleet.Add(samples[s]);
-      }
+    // A baseline from an earlier incarnation describes a summary that died
+    // with the old Testbed: the restarted node's window is everything it
+    // has recorded. (Since() likewise ignores a baseline that is not an
+    // earlier state of the summary, e.g. after a re-registration.)
+    const uint32_t incarnation = cluster_->incarnation(i);
+    const sim::Summary window =
+        baselines != nullptr && (*baselines)[i].incarnation == incarnation
+            ? metric->Since((*baselines)[i].summary)
+            : *metric;
+    if (in_subset[i]) {
+      fleet.Merge(window);
     }
     // Only the evaluated subset consumes its window. A node outside the
-    // subset keeps its cursor, so a later Observe() over a different subset
-    // still sees every sample that arrived in between instead of silently
-    // dropping them.
-    if (windowed && in_subset[i]) {
-      (*cursors)[i] = samples.size();
+    // subset keeps its baseline, so a later Observe() over a different
+    // subset still sees every sample that arrived in between instead of
+    // silently dropping them.
+    if (baselines != nullptr && in_subset[i]) {
+      (*baselines)[i] = {*metric, incarnation};
     }
     stat.samples = window.count();
     if (!window.empty()) {
@@ -111,12 +110,12 @@ void SloMonitor::AttributeHeavyFlows(Report* report) const {
 }
 
 SloMonitor::Report SloMonitor::Observe(const std::vector<int>& subset) {
-  last_ = Evaluate(subset, /*windowed=*/true, &cursor_);
+  last_ = Evaluate(subset, &baseline_);
   return last_;
 }
 
 SloMonitor::Report SloMonitor::Cumulative() const {
-  return Evaluate({}, /*windowed=*/false, nullptr);
+  return Evaluate({}, nullptr);
 }
 
 int SloMonitor::CoolestTarget(const Placer& placer, const WorkloadSpec& unit,

@@ -1,11 +1,15 @@
 // Fleet SLO monitoring: aggregates one summary metric (default: the VM
 // startup latency that is the paper's headline CP SLO) across every node
-// into exact fleet percentiles, flags breaches and hotspot nodes, and
-// suggests rebalancing moves against a Placer's accounting.
+// into fleet percentiles, flags breaches and hotspot nodes, and suggests
+// rebalancing moves against a Placer's accounting. Percentiles carry
+// sim::Summary's bucket error (within 2^-8 of the exact order statistic).
 //
 // Observation is windowed: each Observe() evaluates only the samples that
 // arrived since the previous Observe(), which is what a rollout gate needs
-// (old pre-wave samples must not dilute a fresh regression).
+// (old pre-wave samples must not dilute a fresh regression). A node's window
+// is the bucket-wise difference between its summary now and at its last
+// Observe(); a crash, restart or re-registration since then starts the
+// window over from the node's whole summary.
 #ifndef SRC_FLEET_SLO_MONITOR_H_
 #define SRC_FLEET_SLO_MONITOR_H_
 
@@ -74,7 +78,7 @@ class SloMonitor {
 
   // Evaluates the window since the previous Observe() (first call: since the
   // start of the run) and advances the window — but only for the evaluated
-  // nodes: a node outside `subset` keeps its cursor so no sample is ever
+  // nodes: a node outside `subset` keeps its baseline so no sample is ever
   // skipped by an Observe() that wasn't looking at it. The fleet aggregate
   // covers `subset` node ids when given, all nodes otherwise; per-node stats
   // are always computed for every node (over its current, unconsumed window).
@@ -102,13 +106,21 @@ class SloMonitor {
   int CoolestTarget(const Placer& placer, const WorkloadSpec& unit, int exclude) const;
 
  private:
-  Report Evaluate(const std::vector<int>& subset, bool windowed,
-                  std::vector<size_t>* cursors) const;
+  // A node's summary as of the last Observe() that evaluated it, and the
+  // node incarnation it belonged to. The next window is the difference.
+  struct Baseline {
+    sim::Summary summary;
+    uint32_t incarnation = 0;
+  };
+
+  // Windowed when `baselines` is given (and advanced for `subset`);
+  // cumulative otherwise.
+  Report Evaluate(const std::vector<int>& subset, std::vector<Baseline>* baselines) const;
   void AttributeHeavyFlows(Report* report) const;
 
   Cluster* cluster_;
   SloConfig config_;
-  std::vector<size_t> cursor_;  // Per-node samples already consumed.
+  std::vector<Baseline> baseline_;  // Per node.
   Report last_;
 };
 

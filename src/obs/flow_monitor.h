@@ -8,7 +8,7 @@
 // Monitors built from the same FlowMonitorConfig share hash families
 // (seeds are fixed config constants, NOT per-node simulation seeds), so
 // per-node monitors merge into a fleet monitor the same way MergeSummaries
-// rolls up exact summaries: count-min cells add, HLL registers max, the
+// adds summary buckets: count-min cells add, HLL registers max, the
 // heavy-hitter tables union-and-truncate. The fleet::SloMonitor hotspot
 // reports read the merged result to name the flows behind each breach.
 #ifndef SRC_OBS_FLOW_MONITOR_H_

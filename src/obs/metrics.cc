@@ -24,8 +24,6 @@ const char* ToString(MetricSample::Kind kind) {
       return "gauge";
     case MetricSample::Kind::kSummary:
       return "summary";
-    case MetricSample::Kind::kHistogram:
-      return "histogram";
   }
   return "?";
 }
@@ -66,13 +64,6 @@ void MetricsRegistry::AddSummary(const std::string& name, const sim::Summary* su
   Entry e;
   e.kind = MetricSample::Kind::kSummary;
   e.summary = summary;
-  Add(name, std::move(e));
-}
-
-void MetricsRegistry::AddHistogram(const std::string& name, const sim::Histogram* histogram) {
-  Entry e;
-  e.kind = MetricSample::Kind::kHistogram;
-  e.histogram = histogram;
   Add(name, std::move(e));
 }
 
@@ -124,17 +115,6 @@ MetricsSnapshot MetricsRegistry::Snapshot(sim::SimTime at) const {
         }
         break;
       }
-      case MetricSample::Kind::kHistogram: {
-        const sim::Histogram& h = *entry.histogram;
-        s.count = h.total();
-        s.bins.reserve(h.bins());
-        for (size_t i = 0; i < h.bins(); ++i) {
-          s.bins.push_back({h.bin_lo(i), h.bin_hi(i), h.bin_count(i)});
-        }
-        s.underflow = h.underflow();
-        s.overflow = h.overflow();
-        break;
-      }
     }
     snap.samples.push_back(std::move(s));
   }
@@ -173,17 +153,6 @@ std::string MetricsSnapshot::ToJson() const {
                ", \"p50\": " + Num(s.p50) + ", \"p90\": " + Num(s.p90) +
                ", \"p99\": " + Num(s.p99) + ", \"sum\": " + Num(s.sum);
         break;
-      case MetricSample::Kind::kHistogram: {
-        out += ", \"count\": " + Num(s.count) + ", \"underflow\": " + Num(s.underflow) +
-               ", \"overflow\": " + Num(s.overflow) + ", \"bins\": [";
-        for (size_t b = 0; b < s.bins.size(); ++b) {
-          out += (b == 0 ? "" : ", ");
-          out += "[" + Num(s.bins[b].lo) + ", " + Num(s.bins[b].hi) + ", " +
-                 Num(s.bins[b].count) + "]";
-        }
-        out += "]";
-        break;
-      }
     }
     out += "}";
     out += (i + 1 < samples.size()) ? ",\n" : "\n";
@@ -209,10 +178,6 @@ std::string MetricsSnapshot::ToCsv() const {
         out += "," + Num(s.count) + ",," + Num(s.min) + "," + Num(s.mean) + "," + Num(s.max) +
                "," + Num(s.p50) + "," + Num(s.p90) + "," + Num(s.p99) + "," + Num(s.sum);
         break;
-      case MetricSample::Kind::kHistogram:
-        // Bucket detail is a JSON-side concern; CSV keeps the total only.
-        out += "," + Num(s.count) + ",,,,,,,,";
-        break;
     }
     out += '\n';
   }
@@ -225,9 +190,7 @@ sim::Summary MergeSummaries(const std::vector<const sim::Summary*>& parts) {
     if (part == nullptr) {
       continue;
     }
-    for (double sample : part->samples()) {
-      merged.Add(sample);
-    }
+    merged.Merge(*part);
   }
   return merged;
 }

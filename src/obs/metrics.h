@@ -1,5 +1,5 @@
 // Central metrics registry: every component registers its named
-// counters/gauges/summaries/histograms here, and the registry can be
+// counters/gauges/summaries here, and the registry can be
 // snapshotted at any simulated time and exported as JSON or CSV.
 //
 // The registry does not own metric storage — components keep their metric
@@ -23,13 +23,7 @@ namespace taichi::obs {
 
 // One exported metric value, flattened for serialization.
 struct MetricSample {
-  enum class Kind : uint8_t { kCounter, kGauge, kSummary, kHistogram };
-
-  struct Bin {
-    double lo = 0;
-    double hi = 0;
-    uint64_t count = 0;
-  };
+  enum class Kind : uint8_t { kCounter, kGauge, kSummary };
 
   std::string name;
   Kind kind = Kind::kCounter;
@@ -37,9 +31,6 @@ struct MetricSample {
   double value = 0;    // Gauge value.
   // Summary statistics (valid when kind == kSummary and count > 0).
   double min = 0, mean = 0, max = 0, p50 = 0, p90 = 0, p99 = 0, sum = 0;
-  // Histogram buckets (valid when kind == kHistogram).
-  std::vector<Bin> bins;
-  uint64_t underflow = 0, overflow = 0;
 };
 
 const char* ToString(MetricSample::Kind kind);
@@ -71,7 +62,6 @@ class MetricsRegistry {
   void AddCounterFn(const std::string& name, std::function<uint64_t()> fn);
   void AddGauge(const std::string& name, std::function<double()> fn);
   void AddSummary(const std::string& name, const sim::Summary* summary);
-  void AddHistogram(const std::string& name, const sim::Histogram* histogram);
 
   // Deregistration, for components that die before the registry.
   void Remove(const std::string& name);
@@ -96,7 +86,6 @@ class MetricsRegistry {
     MetricSample::Kind kind = MetricSample::Kind::kCounter;
     const sim::Counter* counter = nullptr;
     const sim::Summary* summary = nullptr;
-    const sim::Histogram* histogram = nullptr;
     std::function<uint64_t()> counter_fn;
     std::function<double()> gauge_fn;
   };
@@ -108,9 +97,11 @@ class MetricsRegistry {
 
 // --- Fleet aggregation -------------------------------------------------------
 
-// Merges the raw samples of several per-node summaries into one summary, so
-// fleet-level percentiles are exact order statistics over the union rather
-// than an approximation from per-node percentiles. Null entries are skipped.
+// Merges several per-node summaries into one by adding their buckets, so the
+// fleet summary is bucket for bucket the one that would have observed the
+// union of the samples: its percentiles keep Summary's 2^-8 bound over the
+// union instead of being approximated from per-node percentiles. Null
+// entries are skipped.
 sim::Summary MergeSummaries(const std::vector<const sim::Summary*>& parts);
 
 }  // namespace taichi::obs

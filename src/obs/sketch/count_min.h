@@ -10,8 +10,8 @@
 //   - Mergeable: two sketches built with the same (seed, width, depth) merge
 //     by cell-wise addition, and the merged sketch upper-bounds the union
 //     stream exactly as if it had seen every packet itself — per-node
-//     sketches roll up to fleet scope the way MergeSummaries does for exact
-//     summaries.
+//     sketches roll up to fleet scope the way MergeSummaries adds summary
+//     buckets.
 //   - Deterministic: the hash family comes from the seed alone, so same-seed
 //     runs are byte-identical and cross-node merges line up cell for cell.
 //   - Error bound: with width w and total stream mass L1, any estimate

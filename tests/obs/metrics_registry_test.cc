@@ -60,33 +60,17 @@ TEST(MetricsRegistryTest, SnapshotReflectsLiveMetrics) {
   EXPECT_EQ(registry.Snapshot(0).Find("dp.packets")->count, 10u);
 }
 
-TEST(MetricsRegistryTest, CounterFnAndHistogram) {
+TEST(MetricsRegistryTest, CounterFn) {
   sim::Counter a, b;
   a.Inc(2);
   b.Inc(5);
-  sim::Histogram hist(0.0, 100.0, 4);
-  hist.Add(10.0);   // bin 0.
-  hist.Add(60.0);   // bin 2.
-  hist.Add(-1.0);   // underflow.
-  hist.Add(500.0);  // overflow.
 
   MetricsRegistry registry;
   registry.AddCounterFn("total", [&] { return a.value() + b.value(); });
-  registry.AddHistogram("hist", &hist);
 
   MetricsSnapshot snap = registry.Snapshot(0);
   EXPECT_EQ(snap.Find("total")->count, 7u);
-
-  const MetricSample* h = snap.Find("hist");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->kind, MetricSample::Kind::kHistogram);
-  ASSERT_EQ(h->bins.size(), 4u);
-  EXPECT_EQ(h->bins[0].count, 1u);
-  EXPECT_EQ(h->bins[2].count, 1u);
-  EXPECT_DOUBLE_EQ(h->bins[2].lo, 50.0);
-  EXPECT_DOUBLE_EQ(h->bins[2].hi, 75.0);
-  EXPECT_EQ(h->underflow, 1u);
-  EXPECT_EQ(h->overflow, 1u);
+  EXPECT_EQ(snap.Find("total")->kind, MetricSample::Kind::kCounter);
 }
 
 TEST(MetricsRegistryTest, RemoveAndRemovePrefix) {
