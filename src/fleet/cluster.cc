@@ -64,14 +64,6 @@ void Cluster::StepNode(size_t i, sim::SimTime next) {
     return;
   }
   sim::Simulation& sim = bed->sim();
-  // Idle-node fast path: nothing due this epoch means the event loop would
-  // only move the clock — do just that. At hyperscale most nodes are idle
-  // most epochs, and skipping the loop (and the shrink check, which such a
-  // node cannot need) is where sharded stepping's headroom comes from.
-  if (config_.idle_fast_path && sim.IdleUntil(next)) {
-    sim.AdvanceIdleTo(next);
-    return;
-  }
   sim.RunUntil(next);
   // The epoch boundary is each node's natural quiesce point: give back
   // event-pool memory still held from a burst (e.g. a VM-startup storm).

@@ -46,12 +46,6 @@ struct ClusterConfig {
   // Tracing is opt-in per the usual rule (one predictable branch when off).
   bool enable_trace = false;
   size_t trace_capacity = obs::TraceRecorder::kDefaultCapacity;
-  // Idle-node fast path: a node with no event due inside the epoch gets its
-  // clock advanced without entering the event loop — at 10k mostly-idle
-  // nodes that is most of the per-epoch work. Output-invariant (the fast
-  // path does exactly what the event loop would: move the clock); the knob
-  // exists so the regression test can compare both paths byte for byte.
-  bool idle_fast_path = true;
 };
 
 class Cluster {
@@ -136,8 +130,8 @@ class Cluster {
   bool WriteMergedTrace(const std::string& path) const;
 
  private:
-  // Steps node i to the epoch boundary `next` (or fast-forwards it when
-  // idle). Runs on whichever worker owns the node's shard this epoch.
+  // Steps node i to the epoch boundary `next`. Runs on whichever worker
+  // owns the node's shard this epoch.
   void StepNode(size_t i, sim::SimTime next);
 
   struct Node {

@@ -22,8 +22,8 @@ inline constexpr EventId kInvalidEventId = 0;
 // Layout: events live in recycled slots; the heap is a 4-ary min-heap whose
 // entries carry their (time, sequence) key inline next to the slot index, so
 // sift comparisons walk a contiguous 32-byte-stride array and never touch the
-// slot table (whose entries are ~128 bytes once the callback buffer is
-// inline — chasing keys through it was the dominant cache cost of the sift).
+// slot table (whose entries are 96 bytes with the callback buffer inline —
+// chasing keys through it was the dominant cache cost of the sift).
 // An EventId packs (slot generation, slot index), so Cancel() and IsPending()
 // are O(1) slot lookups — a stale id sees a bumped generation and misses —
 // and cancellation removes the heap entry immediately instead of leaving a
@@ -33,24 +33,10 @@ inline constexpr EventId kInvalidEventId = 0;
 // node within two cache lines, which is where the sift time goes on the hot
 // schedule/pop path.
 //
-// Calendar front-end: once the standing population passes an engage threshold
-// (dense repeating timers at hyperscale — default 100k, see
-// kDefaultCalendarEngageThreshold), the queue flips to a bucketed calendar in
-// front of the heap. Near-term events live in a flat window of time buckets
-// that a cursor drains left to right; a bucket is sorted by the full
-// (time, seq) key only when the cursor reaches it, and everything past the
-// window overflows into the existing heap. Because sequence numbers are
-// globally unique, keys never tie, so the pop stream is the exact (time, seq)
-// order the heap would have produced — engagement is invisible to event order
-// and to every id-based operation (Cancel/Reschedule/IsPending work in both
-// structures). The wheel disengages with hysteresis (size < threshold/4,
-// checked on the auto-shrink cadence) so bursty populations don't thrash.
-//
 // The steady-state schedule → fire cycle is allocation-free: callbacks are
 // InlineCallback (no per-closure heap spill), slots and heap entries recycle,
-// standing timers can be re-keyed in place (Reschedule) or re-armed without
-// callback reconstruction (ScheduleRepeating), and drained calendar buckets
-// keep their capacity for the next rotation.
+// and standing timers can be re-keyed in place (Reschedule) or re-armed
+// without callback reconstruction (ScheduleRepeating).
 class EventQueue {
  public:
   EventQueue() = default;
@@ -73,12 +59,12 @@ class EventQueue {
     return ScheduleSlot(first, period, std::move(fn));
   }
 
-  // Re-keys a pending event to fire at `when` instead. In heap mode the
-  // existing entry sifts in place: no slot free/alloc, no generation bump,
-  // and the callback is untouched. The event receives a fresh sequence
-  // number, so its order against other events at the same time is exactly as
-  // if it had been cancelled and rescheduled. Returns false (and does
-  // nothing) if `id` is not pending.
+  // Re-keys a pending event to fire at `when` instead. The existing entry
+  // sifts in place: no slot free/alloc, no generation bump, and the callback
+  // is untouched. The event receives a fresh sequence number, so its order
+  // against other events at the same time is exactly as if it had been
+  // cancelled and rescheduled. Returns false (and does nothing) if `id` is
+  // not pending.
   bool Reschedule(EventId id, SimTime when);
 
   // Cancels a pending event. Cancelling an already-fired or already-cancelled
@@ -88,8 +74,8 @@ class EventQueue {
   // True if `id` is scheduled and not yet fired or cancelled.
   bool IsPending(EventId id) const;
 
-  bool empty() const { return heap_.empty() && wheel_size_ == 0; }
-  size_t size() const { return heap_.size() + wheel_size_; }
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
   // Time of the earliest pending event. Only valid when !empty().
   SimTime NextTime() const;
@@ -125,24 +111,9 @@ class EventQueue {
   // returns slot memory without anyone calling ShrinkToFit() — the gates
   // above make the periodic check a two-compare no-op in steady state, and
   // shrinking is memory-only: event order and ids of live events are
-  // untouched. The same cadence applies the calendar disengage hysteresis.
+  // untouched.
   void ShrinkToFit();
   static constexpr uint32_t kAutoShrinkPopInterval = 4096;
-
-  // Standing-event count at which the calendar front-end engages. The
-  // default is far above any single-node population the testbed produces, so
-  // only dense fleet nodes (or benches/tests that lower it) ever flip.
-  static constexpr size_t kDefaultCalendarEngageThreshold = 100000;
-
-  // Sets the engage threshold; 0 disables the calendar entirely. Lowering it
-  // below the current population engages immediately; setting 0 while
-  // engaged migrates the wheel back into the heap. Pop order is unaffected
-  // either way.
-  void set_calendar_engage_threshold(size_t threshold);
-  size_t calendar_engage_threshold() const { return engage_threshold_; }
-  bool calendar_engaged() const { return calendar_; }
-  // Times the calendar has engaged since construction (test/bench hook).
-  uint64_t calendar_engages() const { return engages_; }
 
   // Total events scheduled since construction (fired, pending or cancelled).
   // A repeating event counts once per arming or firing, matching the
@@ -155,15 +126,9 @@ class EventQueue {
  private:
   static constexpr uint32_t kNotInHeap = UINT32_MAX;
   static constexpr uint32_t kNoFreeSlot = UINT32_MAX;
-  static constexpr uint32_t kNotInBucket = UINT32_MAX;
-  // A cancelled entry in the already-sorted cursor bucket keeps its key for
-  // ordering but points at no slot; the cursor skips it.
-  static constexpr uint32_t kTombstoneSlot = UINT32_MAX;
   // ShrinkToFit leaves tables smaller than this alone: re-growing would cost
   // more than the held memory is worth.
   static constexpr size_t kShrinkMinSlots = 256;
-  static constexpr size_t kMinBuckets = 1024;
-  static constexpr size_t kMaxBuckets = 65536;
 
   // The (when, seq) key lives in the heap entry, not here: the sift loops
   // must not dereference this (large) struct per comparison.
@@ -171,16 +136,14 @@ class EventQueue {
     Duration period = 0;    // > 0: repeating; PopNext re-keys instead of freeing.
     InlineCallback fn;
     uint32_t gen = 0;            // Bumped on free; stale ids miss.
-    // Position in the heap, or in the calendar bucket `wheel_bucket` when
-    // that is set. kNotInHeap in both cases means "not pending".
+    // Position in the heap; kNotInHeap means "not pending".
     uint32_t heap_pos = kNotInHeap;
-    uint32_t wheel_bucket = kNotInBucket;
     uint32_t next_free = kNoFreeSlot;
   };
 
   // The (time, sequence) key packed so one unsigned compare is the full
   // lexicographic order; seq is globally unique, so keys never tie and pop
-  // order is independent of the heap's (or a bucket's) internal arrangement.
+  // order is independent of the heap's internal arrangement.
   struct HeapEntry {
     unsigned __int128 key;
     uint32_t slot;
@@ -217,28 +180,6 @@ class EventQueue {
   // Returns the slot at `slot` to the free list and invalidates its id.
   void FreeSlot(uint32_t slot);
 
-  // --- Calendar internals. All maintain the settle invariant: whenever
-  // wheel_size_ > 0, cursor_ points at a sorted bucket whose entry at
-  // cursor_pos_ is live and is the queue-wide minimum key. ---
-
-  // Routes (key, slot) to the wheel window or the overflow heap.
-  void InsertEntry(unsigned __int128 key, uint32_t slot);
-  // Detaches a wheel-resident entry (tombstone in the sorted cursor bucket,
-  // swap-remove elsewhere) without freeing the slot.
-  void RemoveWheelEntry(uint32_t slot);
-  // Re-establishes the settle invariant: skips tombstones, advances the
-  // cursor over drained buckets (clearing them), sorts the bucket it lands
-  // on. Collapses to cursor_ == bucket_count_ when the wheel is empty.
-  void SettleCursor();
-  // Opens the next window at the heap's minimum and migrates every heap
-  // entry inside it into buckets, re-heapifying the remainder. Requires an
-  // empty wheel and a non-empty heap.
-  void RotateWheel();
-  // Sizes the wheel from the current standing population and flips modes.
-  void EngageCalendar();
-  // Migrates the wheel back into the heap and frees bucket storage.
-  void DisengageCalendar();
-
   std::vector<Slot> slots_;
   std::vector<HeapEntry> heap_;  // 4-ary min-heap by (when, seq).
   uint32_t free_head_ = kNoFreeSlot;
@@ -247,22 +188,6 @@ class EventQueue {
   uint32_t gen_floor_ = 0;
   uint32_t pops_since_shrink_check_ = 0;
   uint64_t next_seq_ = 1;
-
-  // Calendar state. buckets_ spans the flat, non-wrapping window
-  // [wheel_origin_, wheel_origin_ + bucket_width_ * buckets_.size()); the
-  // cursor drains it left to right and the window only moves (RotateWheel)
-  // once the wheel is empty, so every heap entry is ≥ the window end while
-  // anything is in the wheel — the global minimum is always at the cursor.
-  bool calendar_ = false;
-  size_t engage_threshold_ = kDefaultCalendarEngageThreshold;
-  uint64_t engages_ = 0;
-  std::vector<std::vector<HeapEntry>> buckets_;
-  Duration bucket_width_ = 1;
-  SimTime wheel_origin_ = 0;
-  size_t cursor_ = 0;       // == buckets_.size() when the wheel is empty.
-  size_t cursor_pos_ = 0;   // Next entry to pop within the cursor bucket.
-  bool cursor_sorted_ = false;
-  size_t wheel_size_ = 0;   // Live wheel entries (tombstones excluded).
 };
 
 }  // namespace taichi::sim

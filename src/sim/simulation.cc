@@ -18,20 +18,6 @@ EventId Simulation::At(SimTime when, InlineCallback fn) {
   return queue_.Schedule(when, std::move(fn));
 }
 
-void Simulation::AdvanceIdleTo(SimTime t) {
-  const bool was_stepping = stepping_.exchange(true, std::memory_order_acquire);
-  assert(!was_stepping && "Simulation stepped from two threads: cross-node state leak");
-  (void)was_stepping;
-  assert(IdleUntil(t) && "AdvanceIdleTo on a node with due events");
-  stopped_ = false;
-  // Mirrors RunUntil's deadline landing exactly, so the fast path is
-  // output-invariant: the clock moves, nothing else does.
-  if (now_ < t && t != std::numeric_limits<SimTime>::max()) {
-    now_ = t;
-  }
-  stepping_.store(false, std::memory_order_release);
-}
-
 void Simulation::RunUntil(SimTime deadline) {
   const bool was_stepping = stepping_.exchange(true, std::memory_order_acquire);
   assert(!was_stepping && "Simulation stepped from two threads: cross-node state leak");

@@ -71,17 +71,11 @@ class Simulation {
   // Makes Run()/RunUntil() return after the current event completes.
   void Stop() { stopped_ = true; }
 
-  // True when no pending event fires at or before `t`: the fleet layer's
-  // idle-node test. A node that is idle for a whole epoch can have its clock
-  // advanced by AdvanceIdleTo() without entering the event loop.
+  // True when no pending event fires at or before `t`, i.e. RunUntil(t)
+  // would only move the clock.
   bool IdleUntil(SimTime t) const {
     return queue_.empty() || queue_.NextTime() > t;
   }
-
-  // Fast-forwards the clock of an idle node to `t` — exactly what
-  // RunUntil(t) would do, minus the loop entry. Caller must have checked
-  // IdleUntil(t); anything else is a model bug (asserted).
-  void AdvanceIdleTo(SimTime t);
 
   // Releases event-pool memory after a burst; see EventQueue::ShrinkToFit.
   void ShrinkEventPool() { queue_.ShrinkToFit(); }
@@ -89,15 +83,6 @@ class Simulation {
   uint64_t events_executed() const { return events_executed_; }
   size_t pending_events() const { return queue_.size(); }
   size_t event_pool_slots() const { return queue_.slot_count(); }
-
-  // Calendar front-end controls; see EventQueue. The threshold only matters
-  // for dense nodes (default engages at 100k standing events) — benches and
-  // tests lower it to exercise the wheel.
-  void SetCalendarEngageThreshold(size_t threshold) {
-    queue_.set_calendar_engage_threshold(threshold);
-  }
-  bool calendar_engaged() const { return queue_.calendar_engaged(); }
-  uint64_t calendar_engages() const { return queue_.calendar_engages(); }
 
  private:
   EventQueue queue_;

@@ -662,6 +662,10 @@ TEST(Cluster, EpochHooksFireAtEveryBoundaryAndCanBeRemoved) {
   std::vector<sim::SimTime> fired;
   uint64_t id = cluster.AddEpochHook([&](sim::SimTime at) { fired.push_back(at); });
   const sim::SimTime start = cluster.Now();
+  // A 3 ms timer straddles the 2 ms epochs and must still fire on time.
+  sim::Simulation* node0 = &cluster.node(0).sim();
+  std::vector<sim::SimTime> ticks;
+  node0->ScheduleRepeating(sim::Millis(3), [&ticks, node0] { ticks.push_back(node0->Now()); });
   cluster.RunFor(sim::Millis(6));  // Three 2 ms epochs.
   ASSERT_EQ(fired.size(), 3u);
   EXPECT_EQ(fired[0], start + sim::Millis(2));
@@ -672,6 +676,10 @@ TEST(Cluster, EpochHooksFireAtEveryBoundaryAndCanBeRemoved) {
   cluster.RemoveEpochHook(id);
   cluster.RunFor(sim::Millis(4));
   EXPECT_EQ(fired.size(), 3u);
+  EXPECT_EQ(ticks, (std::vector<sim::SimTime>{start + sim::Millis(3), start + sim::Millis(6),
+                                              start + sim::Millis(9)}));
+  EXPECT_EQ(cluster.node(0).sim().Now(), start + sim::Millis(10));
+  EXPECT_EQ(cluster.node(1).sim().Now(), start + sim::Millis(10));
 }
 
 TEST(Cluster, EpochBoundaryShrinksNodeEventPools) {
@@ -758,46 +766,6 @@ TEST(Placer, IndexedPlaceMatchesLinearScanUnderChurn) {
   }
 }
 
-// --- Idle-node fast path -------------------------------------------------
-
-TEST(Cluster, IdleFastPathIsByteIdenticalToEventLoop) {
-  // Mostly idle fleet: sparse timers on two of four nodes, nothing on the
-  // others. The fast path must land every node exactly where the event loop
-  // would — same clocks, same fire times, same event counts.
-  struct Output {
-    std::vector<sim::SimTime> fires;
-    std::vector<uint64_t> events;
-    std::vector<sim::SimTime> clocks;
-  };
-  auto run = [](bool fast) {
-    fleet::ClusterConfig cfg = SmallCluster(4, 11);
-    cfg.idle_fast_path = fast;
-    fleet::Cluster cluster(cfg);
-    Output out;
-    for (size_t node : {0u, 2u}) {
-      sim::Simulation* sim = &cluster.node(node).sim();
-      // 7 ms period against a 2 ms epoch: most epochs see no event at all.
-      sim->ScheduleRepeating(sim::Millis(7), sim::Millis(7),
-                             [&out, sim] { out.fires.push_back(sim->Now()); });
-    }
-    cluster.RunFor(sim::Millis(60));
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      out.events.push_back(cluster.node(i).sim().events_executed());
-      out.clocks.push_back(cluster.node(i).sim().Now());
-    }
-    return out;
-  };
-  Output fast = run(true);
-  Output slow = run(false);
-  EXPECT_EQ(fast.fires, slow.fires);
-  EXPECT_EQ(fast.events, slow.events);
-  EXPECT_EQ(fast.clocks, slow.clocks);
-  ASSERT_EQ(fast.fires.size(), 16u);  // 2 nodes x 8 fires in 60 ms.
-  for (size_t i = 0; i < fast.clocks.size(); ++i) {
-    EXPECT_EQ(fast.clocks[i], sim::Millis(60));
-  }
-}
-
 // --- Flow-aggregate load generation --------------------------------------
 
 TEST(LoadGen, AggregateModeBuildsFleetDistinctFlowPopulations) {
@@ -856,41 +824,6 @@ TEST(LoadGen, AggregateModeParallelRunIsByteIdenticalToSerial) {
     return out;
   };
   EXPECT_EQ(run(1), run(4));
-}
-
-// --- Calendar queue under the fleet --------------------------------------
-
-TEST(Cluster, CalendarEngagedFleetRunIsByteIdenticalToHeapOnly) {
-  // Force the calendar on at a tiny threshold and compare a full fleet run
-  // against the heap-only build of the same universe: every metric, flow
-  // sketch and event count must match byte for byte.
-  auto run = [](size_t threshold) {
-    fleet::ClusterConfig cfg = SmallCluster(3, 37);
-    fleet::Cluster cluster(cfg);
-    bool engaged = false;
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      cluster.node(i).sim().SetCalendarEngageThreshold(threshold);
-    }
-    fleet::LoadGenConfig lcfg;
-    lcfg.seed = 37;
-    lcfg.vm_arrival_rate_per_sec = 150.0;
-    fleet::LoadGen load(&cluster, lcfg);
-    load.Start();
-    cluster.RunFor(sim::Millis(60));
-    load.Stop();
-    std::string out = cluster.MergedFlowMonitor(fleet::Cluster::FlowTap::kDp).ToJson(8);
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      out += cluster.observability(i).metrics.Snapshot(cluster.Now()).ToJson();
-      out += std::to_string(cluster.node(i).sim().events_executed());
-      engaged = engaged || cluster.node(i).sim().calendar_engages() > 0;
-    }
-    return std::pair(out, engaged);
-  };
-  auto [calendar_out, calendar_engaged] = run(32);
-  auto [heap_out, heap_engaged] = run(0);
-  EXPECT_TRUE(calendar_engaged);  // The tiny threshold must actually engage.
-  EXPECT_FALSE(heap_engaged);
-  EXPECT_EQ(calendar_out, heap_out);
 }
 
 // --- Runtime enable/disable and rollout ----------------------------------

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace taichi::sim {
@@ -482,306 +485,225 @@ TEST(EventQueueTest, MoveOnlyCaptureSchedules) {
 }
 
 
-// ---- Calendar front-end ------------------------------------------------------
+// ---- Randomized churn against an ordered-map oracle --------------------------
 //
-// Everything below exercises the bucketed calendar that engages above the
-// standing-population threshold. The load-bearing contract: pop order is the
-// exact (time, seq) order the heap produces — the calendar is invisible to
-// every consumer except the profiler.
-
-TEST(CalendarQueueTest, EngagesAtThresholdAndDisengagesWhenDrained) {
-  EventQueue q;
-  q.set_calendar_engage_threshold(256);
-  EXPECT_EQ(q.calendar_engage_threshold(), 256u);
-  for (int i = 0; i < 255; ++i) {
-    q.Schedule(static_cast<SimTime>(1000 + i), [] {});
-  }
-  EXPECT_FALSE(q.calendar_engaged());
-  q.Schedule(2000, [] {});  // The 256th standing event flips it.
-  EXPECT_TRUE(q.calendar_engaged());
-  EXPECT_EQ(q.calendar_engages(), 1u);
-  // Drain below threshold/4 and let the explicit shrink disengage it.
-  while (q.size() > 32) {
-    q.PopNext();
-  }
-  q.ShrinkToFit();
-  EXPECT_FALSE(q.calendar_engaged());
-  // The survivors still pop in exact order.
-  SimTime last = 0;
-  while (!q.empty()) {
-    EventQueue::Fired fired = q.PopNext();
-    EXPECT_GE(fired.when, last);
-    last = fired.when;
-  }
-}
-
-TEST(CalendarQueueTest, ZeroThresholdDisablesAndDisengages) {
-  EventQueue q;
-  q.set_calendar_engage_threshold(128);
-  for (int i = 0; i < 512; ++i) {
-    q.Schedule(static_cast<SimTime>(i * 3), [] {});
-  }
-  ASSERT_TRUE(q.calendar_engaged());
-  q.set_calendar_engage_threshold(0);  // Heap-only mode: disengages live.
-  EXPECT_FALSE(q.calendar_engaged());
-  SimTime last = 0;
-  size_t popped = 0;
-  while (!q.empty()) {
-    EventQueue::Fired fired = q.PopNext();
-    EXPECT_GE(fired.when, last);
-    last = fired.when;
-    ++popped;
-  }
-  EXPECT_EQ(popped, 512u);
-}
-
-TEST(CalendarQueueTest, LoweringThresholdBelowPopulationEngagesImmediately) {
-  EventQueue q;
-  q.set_calendar_engage_threshold(0);
-  for (int i = 0; i < 300; ++i) {
-    q.Schedule(static_cast<SimTime>(i), [] {});
-  }
-  EXPECT_FALSE(q.calendar_engaged());
-  q.set_calendar_engage_threshold(100);
-  EXPECT_TRUE(q.calendar_engaged());
-}
-
-TEST(CalendarQueueTest, EqualTimesKeepInsertionOrderWhileEngaged) {
-  EventQueue q;
-  q.set_calendar_engage_threshold(64);
-  std::vector<int> order;
-  for (int i = 0; i < 500; ++i) {
-    q.Schedule(7, [&order, i] { order.push_back(i); });
-  }
-  ASSERT_TRUE(q.calendar_engaged());
-  while (!q.empty()) {
-    q.PopNext().fn();
-  }
-  ASSERT_EQ(order.size(), 500u);
-  for (int i = 0; i < 500; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
-}
-
-TEST(CalendarQueueTest, CancelInsideCursorBucketSkipsTombstones) {
-  EventQueue q;
-  q.set_calendar_engage_threshold(64);
-  std::vector<EventId> ids;
-  for (int i = 0; i < 256; ++i) {
-    ids.push_back(q.Schedule(static_cast<SimTime>(10 + i % 4), [] {}));
-  }
-  ASSERT_TRUE(q.calendar_engaged());
-  // Pop one so the cursor bucket is sorted, then tombstone entries inside it
-  // (and a spread of entries elsewhere).
-  EXPECT_EQ(q.PopNext().when, 10u);
-  size_t cancelled = 0;
-  for (size_t i = 0; i < ids.size(); i += 3) {
-    if (q.Cancel(ids[i])) {
-      ++cancelled;
-    }
-  }
-  SimTime last = 0;
-  size_t popped = 1;
-  while (!q.empty()) {
-    EventQueue::Fired fired = q.PopNext();
-    EXPECT_GE(fired.when, last);
-    last = fired.when;
-    ++popped;
-  }
-  EXPECT_EQ(popped, 256u - cancelled);
-}
-
-TEST(CalendarQueueTest, RepeatingTimersCycleThroughWheelRotations) {
-  // Standing timers whose re-keys land past the current window force
-  // repeated RotateWheel calls; the fire sequence must stay exact.
-  EventQueue q;
-  q.set_calendar_engage_threshold(128);
-  constexpr int kTimers = 256;
-  constexpr SimTime kPeriod = 1000;
-  std::vector<int> hits(kTimers, 0);
-  for (int i = 0; i < kTimers; ++i) {
-    q.ScheduleRepeating(static_cast<SimTime>(1 + i * kPeriod / kTimers), kPeriod,
-                        [&hits, i] { ++hits[static_cast<size_t>(i)]; });
-  }
-  ASSERT_TRUE(q.calendar_engaged());
-  SimTime last = 0;
-  for (int pops = 0; pops < kTimers * 50; ++pops) {
-    EventQueue::Fired fired = q.PopNext();
-    EXPECT_GE(fired.when, last);
-    last = fired.when;
-    fired.fn();
-    q.RestoreRepeating(fired.id, std::move(fired.fn));
-  }
-  for (int i = 0; i < kTimers; ++i) {
-    EXPECT_EQ(hits[static_cast<size_t>(i)], 50) << "timer " << i;
-  }
-  EXPECT_TRUE(q.calendar_engaged());
-  EXPECT_EQ(q.size(), static_cast<size_t>(kTimers));
-}
-
-TEST(CalendarQueueTest, FarFutureSentinelDoesNotStarveTheWindow) {
-  // One event parked at the far horizon (a deadline sentinel) must not
-  // stretch the bucket width so far that the dense population degenerates
-  // into one bucket.
-  EventQueue q;
-  q.set_calendar_engage_threshold(128);
-  q.Schedule(static_cast<SimTime>(1) << 60, [] {});  // The sentinel.
-  for (int i = 0; i < 1024; ++i) {
-    q.Schedule(static_cast<SimTime>(100 + i), [] {});
-  }
-  ASSERT_TRUE(q.calendar_engaged());
-  SimTime last = 0;
-  for (int i = 0; i < 1024; ++i) {
-    EventQueue::Fired fired = q.PopNext();
-    EXPECT_GE(fired.when, last);
-    last = fired.when;
-  }
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.PopNext().when, static_cast<SimTime>(1) << 60);
-}
-
-// Randomized mirror harness: every operation lands on a heap-only queue and
-// a calendar-engaging queue; both must pop the identical (when, marker)
-// sequence through engage, rotation, and disengage boundaries.
-class MirrorHarness {
+// Every operation lands on the queue and on a std::map keyed (when, seq) that
+// follows the queue's sequence rule: each Schedule, Reschedule and repeating
+// pop takes the next seq. The queue must pop exactly the oracle's order (same
+// time, same event) and agree with it on size(), NextTime() and the return
+// value of every IsPending, Cancel and Reschedule. Liveness is tracked per
+// scheduled event, not per id value, so a stale id that aliases a newer
+// event's id shows up as a mismatch.
+class OracleHarness {
  public:
-  explicit MirrorHarness(size_t threshold) {
-    heap_.set_calendar_engage_threshold(0);
-    cal_.set_calendar_engage_threshold(threshold);
+  // What a popped repeating event's callback does to its own id before the
+  // callback is handed back to the slot.
+  enum class OnRepeat { kKeep, kReschedule, kCancel };
+
+  // Returns the event's marker, which is also its index among issued ids.
+  size_t Schedule(SimTime when, Duration period = 0) {
+    const size_t marker = issued_.size();
+    auto fn = [this, marker] { fired_marker_ = marker; };
+    const EventId id =
+        period > 0 ? q_.ScheduleRepeating(when, period, fn) : q_.Schedule(when, fn);
+    issued_.push_back(id);
+    fires_.push_back(0);
+    Insert(Key{when, next_seq_++}, Entry{id, marker, period});
+    return marker;
   }
 
-  void Schedule(SimTime when) {
-    const int marker = next_marker_++;
-    EventId h = heap_.Schedule(when, [] {});
-    EventId c = cal_.Schedule(when, [] {});
-    live_.push_back({h, c, marker, false});
+  // `pick` selects among every event ever scheduled, dead ones included.
+  void Cancel(uint64_t pick) { CancelMarker(pick % issued_.size()); }
+
+  void Reschedule(uint64_t pick, SimTime when) {
+    RescheduleMarker(pick % issued_.size(), when);
   }
 
-  void ScheduleRepeating(SimTime first, Duration period) {
-    const int marker = next_marker_++;
-    EventId h = heap_.ScheduleRepeating(first, period, [] {});
-    EventId c = cal_.ScheduleRepeating(first, period, [] {});
-    live_.push_back({h, c, marker, true});
+  void IsPending(uint64_t pick) {
+    const size_t marker = pick % issued_.size();
+    EXPECT_EQ(q_.IsPending(issued_[marker]), key_of_.count(marker) == 1);
   }
 
-  void CancelAt(size_t idx) {
-    Entry& e = live_[idx % live_.size()];
-    EXPECT_EQ(heap_.Cancel(e.heap_id), cal_.Cancel(e.cal_id));
-    live_[idx % live_.size()] = live_.back();
-    live_.pop_back();
-  }
-
-  void RescheduleAt(size_t idx, SimTime when) {
-    Entry& e = live_[idx % live_.size()];
-    EXPECT_EQ(heap_.Reschedule(e.heap_id, when), cal_.Reschedule(e.cal_id, when));
-  }
-
-  // Pops one event from both queues and checks they agree on time AND
-  // identity (same marker). Returns false when both are empty.
-  bool PopOne() {
-    EXPECT_EQ(heap_.empty(), cal_.empty());
-    EXPECT_EQ(heap_.size(), cal_.size());
-    if (heap_.empty()) {
+  // Pops the earliest event and checks it against the oracle's minimum.
+  // Returns false once both are empty.
+  bool PopOne(OnRepeat on_repeat = OnRepeat::kKeep, SimTime reschedule_to = 0) {
+    EXPECT_EQ(q_.size(), pending_.size());
+    EXPECT_EQ(q_.total_scheduled(), next_seq_ - 1);
+    if (pending_.empty()) {
+      EXPECT_TRUE(q_.empty());
       return false;
     }
-    EXPECT_EQ(heap_.NextTime(), cal_.NextTime());
-    EventQueue::Fired h = heap_.PopNext();
-    EventQueue::Fired c = cal_.PopNext();
-    EXPECT_EQ(h.when, c.when);
-    EXPECT_EQ(h.repeating, c.repeating);
-    const size_t hi = FindLive(h.id, /*heap=*/true);
-    const size_t ci = FindLive(c.id, /*heap=*/false);
-    EXPECT_EQ(hi, ci) << "queues popped different events at t=" << h.when;
-    if (h.repeating) {
-      heap_.RestoreRepeating(h.id, std::move(h.fn));
-      cal_.RestoreRepeating(c.id, std::move(c.fn));
-    } else if (hi < live_.size() && hi == ci) {
-      live_[hi] = live_.back();
-      live_.pop_back();
+    const auto [key, entry] = *pending_.begin();
+    EXPECT_EQ(q_.NextTime(), key.first);
+    pending_.erase(pending_.begin());
+    key_of_.erase(entry.marker);
+    if (entry.period > 0) {
+      Insert(Key{key.first + entry.period, next_seq_++}, entry);
+    }
+
+    EventQueue::Fired fired = q_.PopNext();
+    ++pops_;
+    now_ = fired.when;
+    fired_marker_ = SIZE_MAX;
+    fired.fn();
+    EXPECT_EQ(fired.when, key.first);
+    EXPECT_EQ(fired_marker_, entry.marker) << "popped the wrong event at t=" << key.first;
+    EXPECT_EQ(fired.id, entry.id);
+    EXPECT_EQ(fired.repeating, entry.period > 0);
+    if (fired_marker_ < fires_.size()) {
+      ++fires_[fired_marker_];
+    }
+    if (fired.repeating) {
+      if (on_repeat == OnRepeat::kReschedule) {
+        RescheduleMarker(entry.marker, reschedule_to);
+      } else if (on_repeat == OnRepeat::kCancel) {
+        CancelMarker(entry.marker);
+      }
+      q_.RestoreRepeating(fired.id, std::move(fired.fn));
     }
     return true;
   }
 
-  void ShrinkBoth() {
-    heap_.ShrinkToFit();
-    cal_.ShrinkToFit();
+  // Explicit shrink: memory-only, so every live id must stay pending.
+  void ShrinkToFit() {
+    q_.ShrinkToFit();
+    EXPECT_EQ(q_.size(), pending_.size());
+    for (const auto& [marker, key] : key_of_) {
+      EXPECT_TRUE(q_.IsPending(issued_[marker]));
+    }
   }
 
-  EventQueue& cal() { return cal_; }
-  size_t live_count() const { return live_.size(); }
+  const EventQueue& queue() const { return q_; }
+  SimTime now() const { return now_; }
+  size_t pops() const { return pops_; }
+  int fires(size_t marker) const { return fires_[marker]; }
 
  private:
+  using Key = std::pair<SimTime, uint64_t>;
   struct Entry {
-    EventId heap_id;
-    EventId cal_id;
-    int marker;
-    bool repeating;
+    EventId id;
+    size_t marker;
+    Duration period;
   };
 
-  size_t FindLive(EventId id, bool heap) const {
-    for (size_t i = 0; i < live_.size(); ++i) {
-      if ((heap ? live_[i].heap_id : live_[i].cal_id) == id) {
-        return i;
-      }
-    }
-    ADD_FAILURE() << "popped id not in live set";
-    return static_cast<size_t>(-1);
+  void Insert(Key key, Entry entry) {
+    key_of_[entry.marker] = key;
+    pending_.emplace(key, entry);
   }
 
-  EventQueue heap_;
-  EventQueue cal_;
-  std::vector<Entry> live_;
-  int next_marker_ = 0;
+  void CancelMarker(size_t marker) {
+    const auto it = key_of_.find(marker);
+    EXPECT_EQ(q_.Cancel(issued_[marker]), it != key_of_.end());
+    if (it != key_of_.end()) {
+      pending_.erase(it->second);
+      key_of_.erase(it);
+    }
+  }
+
+  void RescheduleMarker(size_t marker, SimTime when) {
+    const auto it = key_of_.find(marker);
+    EXPECT_EQ(q_.Reschedule(issued_[marker], when), it != key_of_.end());
+    if (it != key_of_.end()) {
+      const Entry entry = pending_.at(it->second);
+      pending_.erase(it->second);
+      Insert(Key{when, next_seq_++}, entry);
+    }
+  }
+
+  EventQueue q_;
+  std::map<Key, Entry> pending_;
+  std::map<size_t, Key> key_of_;  // By marker; live events only.
+  std::vector<EventId> issued_;
+  std::vector<int> fires_;
+  uint64_t next_seq_ = 1;
+  size_t fired_marker_ = SIZE_MAX;
+  SimTime now_ = 0;
+  size_t pops_ = 0;
 };
 
-TEST(CalendarQueueTest, RandomChurnMatchesHeapAcrossEngageAndDisengage) {
-  MirrorHarness m(512);
+TEST(EventQueueTest, RandomChurnMatchesOrderedMapOracle) {
+  OracleHarness h;
   uint64_t seed = 0x5eed;
   auto rnd = [&seed] {
     seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
     return seed >> 16;
   };
-  SimTime now = 0;
 
-  // Phase 1: grow well past the threshold with mixed churn. Times cluster
-  // near `now` with occasional far outliers, so inserts land in the cursor
-  // bucket, later buckets, and the overflow heap.
-  for (int i = 0; i < 4000; ++i) {
-    const uint64_t r = rnd();
-    const SimTime when = now + 1 + (r % 997) * (r % 31 == 0 ? 1000 : 1);
-    if (r % 17 == 0 && m.live_count() > 0) {
-      m.CancelAt(rnd());
-    } else if (r % 23 == 0 && m.live_count() > 0) {
-      m.RescheduleAt(rnd(), when);
-    } else if (r % 41 == 0) {
-      m.ScheduleRepeating(when - now, 1 + r % 300);
-    } else {
-      m.Schedule(when);
+  // A far-future sentinel behind a dense population: the dense events pop
+  // first and the sentinel stays pending through the phases below.
+  constexpr SimTime kSentinel = static_cast<SimTime>(1) << 60;
+  h.Schedule(kSentinel);
+  for (int i = 0; i < 1024; ++i) {
+    h.Schedule(static_cast<SimTime>(100 + i));
+  }
+  for (int i = 0; i < 1024; ++i) {
+    h.PopOne();
+  }
+  ASSERT_EQ(h.queue().size(), 1u);
+  EXPECT_EQ(h.queue().NextTime(), kSentinel);
+
+  // 256 standing repeating timers spread over one period: in 256 x 50 pops
+  // each fires exactly 50 times.
+  constexpr int kTimers = 256;
+  constexpr Duration kPeriod = 1000;
+  std::vector<size_t> timers;
+  const SimTime base = h.now();
+  for (int i = 0; i < kTimers; ++i) {
+    timers.push_back(h.Schedule(base + 1 + static_cast<SimTime>(i) * kPeriod / kTimers, kPeriod));
+  }
+  for (int i = 0; i < kTimers * 50; ++i) {
+    h.PopOne();
+  }
+  for (size_t t : timers) {
+    EXPECT_EQ(h.fires(t), 50) << "timer " << t;
+    h.Cancel(t);
+  }
+
+  // Two rounds of mixed churn, each followed by a drain with interleaved
+  // cancels and explicit shrinks. Times cluster near now with occasional far
+  // outliers and frequent ties; repeating callbacks keep, re-key or cancel
+  // themselves, and cancel themselves while draining so the drain ends. The
+  // first drain stops with a few events live and trims the slot table under
+  // them, so the second round regrows it above the shrink's generation floor
+  // while stale ids from the first round are still being probed.
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 4000; ++i) {
+      const uint64_t r = rnd();
+      const SimTime when = h.now() + 1 + (r % 997) * (r % 31 == 0 ? 1000 : 1);
+      if (r % 17 == 0) {
+        h.Cancel(rnd());
+      } else if (r % 23 == 0) {
+        h.Reschedule(rnd(), when);
+      } else if (r % 29 == 0) {
+        h.IsPending(rnd());
+      } else if (r % 13 == 0) {
+        h.Schedule(when, static_cast<Duration>(1 + r % 300));
+      } else {
+        h.Schedule(when);
+      }
+      if (r % 5 == 0) {
+        h.PopOne(static_cast<OracleHarness::OnRepeat>(rnd() % 3), when);
+      }
     }
-    if (r % 5 == 0) {
-      m.PopOne();
+    const size_t keep = round == 0 ? 16 : 0;
+    for (size_t pops = 1;
+         h.queue().size() > keep && h.PopOne(OracleHarness::OnRepeat::kCancel); ++pops) {
+      if (rnd() % 3 == 0) {
+        h.Cancel(rnd());
+      }
+      if (pops % 512 == 0) {
+        h.ShrinkToFit();
+      }
+    }
+    if (round == 0) {
+      const size_t high_water = h.queue().slot_count();
+      h.ShrinkToFit();
+      EXPECT_LT(h.queue().slot_count(), high_water);
     }
   }
-  EXPECT_TRUE(m.cal().calendar_engaged());
-  EXPECT_GE(m.cal().calendar_engages(), 1u);
-
-  // Phase 2: drain with interleaved churn and periodic shrink checks until
-  // both queues are empty. Repeating events are cancelled as encountered so
-  // the drain terminates.
-  int pops = 0;
-  while (m.live_count() > 0 || m.PopOne()) {
-    const uint64_t r = rnd();
-    if (m.live_count() > 0 && r % 3 == 0) {
-      m.CancelAt(rnd());
-    }
-    if (!m.PopOne()) {
-      break;
-    }
-    if (++pops % 512 == 0) {
-      m.ShrinkBoth();
-    }
-  }
-  EXPECT_FALSE(m.cal().calendar_engaged());  // Drained + shrunk: disengaged.
+  EXPECT_FALSE(h.PopOne());
+  EXPECT_EQ(h.now(), kSentinel);
+  EXPECT_GT(h.pops(), EventQueue::kAutoShrinkPopInterval);
 }
 
 TEST(EventQueueTest, StressManyEventsStayOrdered) {
