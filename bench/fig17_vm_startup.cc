@@ -2,6 +2,10 @@
 // Tai Chi. Paper: Tai Chi reduces average startup latency ~3.1x in
 // high-density environments by running device-management CP tasks on vCPUs
 // fed by idle DP cycles.
+//
+// Exits 1 on a shape mismatch: the 4x reduction below 2.5x, the 4x baseline
+// not above the startup SLO or Tai Chi not below it, or a 1x reduction
+// outside [0.95, 1.05] (at low density there is nothing to win).
 #include "bench/common.h"
 
 using namespace taichi;
@@ -19,6 +23,7 @@ int main(int argc, char** argv) {
   json.Config("slo_ms", kStartupSloMs);
   sim::Table t({"Density", "Baseline (ms)", "Base/SLO", "Tai Chi (ms)", "TaiChi/SLO",
                 "Reduction"});
+  double base_4x = 0, taichi_4x = 0, reduction_1x = 0;
   for (int density : {1, 2, 3, 4}) {
     auto run = [&](exp::Mode mode) {
       auto bed = bench::MakeTestbed(mode, 42 + density, [density](exp::TestbedConfig& cfg) {
@@ -40,8 +45,24 @@ int main(int argc, char** argv) {
     json.Metric(prefix + "baseline_ms", base);
     json.Metric(prefix + "taichi_ms", taichi);
     json.Metric(prefix + "reduction", base / taichi);
+    if (density == 1) {
+      reduction_1x = base / taichi;
+    } else if (density == 4) {
+      base_4x = base;
+      taichi_4x = taichi;
+    }
   }
   t.Print();
   std::printf("\npaper: ~3.1x startup reduction at high instance density\n");
-  return json.Write() ? 0 : 1;
+  if (!json.Write()) {
+    return 1;
+  }
+
+  const bool shape_ok = base_4x / taichi_4x >= 2.5 && base_4x > kStartupSloMs &&
+                        taichi_4x < kStartupSloMs && reduction_1x >= 0.95 &&
+                        reduction_1x <= 1.05;
+  std::printf("%s: >= 2.5x reduction at 4x density, where only Tai Chi meets the %.0f ms "
+              "SLO; no change at 1x\n",
+              shape_ok ? "PASS" : "SHAPE MISMATCH", kStartupSloMs);
+  return shape_ok ? 0 : 1;
 }

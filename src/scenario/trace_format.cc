@@ -92,7 +92,10 @@ bool PacketTrace::Parse(std::string_view bytes, PacketTrace* out) {
   }
   const uint32_t node_count = GetU32(p + 8);
   const uint64_t count = GetU64(p + 16);
-  if (bytes.size() != kPacketTraceHeaderBytes + count * kPacketTraceRecordBytes) {
+  // Divide rather than multiply: a forged count of 2^58 or more would wrap
+  // count * 64 back onto the real body size.
+  const size_t body = bytes.size() - kPacketTraceHeaderBytes;
+  if (body % kPacketTraceRecordBytes != 0 || count != body / kPacketTraceRecordBytes) {
     return false;
   }
   PacketTrace trace;

@@ -2,6 +2,7 @@
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -15,28 +16,44 @@ namespace taichi::sim {
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-// Min-heap of timed callbacks. Events at equal times fire in insertion order,
-// which keeps simulations deterministic. Not thread-safe: each simulator
-// instance is single-threaded by design (a fleet runs one queue per node).
+// Timed callbacks popped in (time, insertion sequence) order. Events at equal
+// times fire in insertion order, which keeps simulations deterministic. Not
+// thread-safe: each simulator instance is single-threaded by design (a fleet
+// runs one queue per node).
 //
-// Layout: events live in recycled slots; the heap is a 4-ary min-heap whose
-// entries carry their (time, sequence) key inline next to the slot index, so
-// sift comparisons walk a contiguous 32-byte-stride array and never touch the
-// slot table (whose entries are 96 bytes with the callback buffer inline —
-// chasing keys through it was the dominant cache cost of the sift).
+// Layout: events live in recycled 96-byte slots (the callback buffer is
+// inline). Pending events are ordered by a (time, sequence) key packed into
+// one unsigned compare, and the keys live in two tiers that never touch the
+// slot table while they compare:
+//  * a near-future window: the earliest pending events (at most kWindow), kept
+//    sorted in descending order, so the next event is the window's back and a
+//    pop is O(1). Every key in the window is below every key in the heap.
+//  * a 4-ary min-heap behind it for everything later. Heap entries carry their
+//    key inline, so a sift walks a contiguous 32-byte-stride array.
+// Most events in this simulator are stages a few µs long (accelerator window,
+// PCIe leg, DP burst) scheduled in front of nearly every pending event, so
+// they enter and leave through the window's back without a heap sift. A key
+// above the heap top goes to the heap (into an empty window, the heap top
+// moves to the window and the key takes its place in one sift); a full
+// window spills its latest entry to the heap; a pop from an empty window
+// first refills it from the heap with up to half its capacity.
+//
 // An EventId packs (slot generation, slot index), so Cancel() and IsPending()
 // are O(1) slot lookups — a stale id sees a bumped generation and misses —
-// and cancellation removes the heap entry immediately instead of leaving a
-// tombstone. Idle-poll fast-forwarding cancels and reschedules constantly, so
-// the structure must not accumulate dead entries between pops. The 4-ary
-// shape halves the tree depth of a binary heap and keeps the children of a
-// node within two cache lines, which is where the sift time goes on the hot
-// schedule/pop path.
+// and cancellation removes the event immediately instead of leaving a
+// tombstone (a window entry is found by a scan of at most kWindow entries).
+// Idle-poll fast-forwarding cancels and reschedules constantly, so the
+// structure must not accumulate dead entries between pops.
+//
+// A repeating event is re-keyed once per firing: PopNext() only reserves its
+// next key, and RestoreRepeating() inserts it unless the callback rescheduled
+// or cancelled the event meanwhile. While its callback runs the event counts
+// as pending (IsPending, size, NextTime, ShrinkToFit).
 //
 // The steady-state schedule → fire cycle is allocation-free: callbacks are
-// InlineCallback (no per-closure heap spill), slots and heap entries recycle,
-// and standing timers can be re-keyed in place (Reschedule) or re-armed
-// without callback reconstruction (ScheduleRepeating).
+// InlineCallback (no per-closure heap spill), slots, the window and heap
+// entries recycle, and standing timers can be re-keyed (Reschedule) or
+// re-armed without callback reconstruction (ScheduleRepeating).
 class EventQueue {
  public:
   EventQueue() = default;
@@ -50,8 +67,8 @@ class EventQueue {
   }
 
   // Schedules `fn` at `first`, then every `period` after that, reusing one
-  // slot and one callback forever: firing re-keys the slot in place (fresh
-  // sequence number, time += period) instead of freeing + reallocating it.
+  // slot and one callback forever: each firing reserves the next key (time +=
+  // period, fresh sequence number) instead of freeing + reallocating the slot.
   // The id stays valid across firings; Cancel() stops the repetition, and
   // Reschedule() (typically from inside the callback) overrides the next
   // firing time. Requires period > 0.
@@ -59,10 +76,10 @@ class EventQueue {
     return ScheduleSlot(first, period, std::move(fn));
   }
 
-  // Re-keys a pending event to fire at `when` instead. The existing entry
-  // sifts in place: no slot free/alloc, no generation bump, and the callback
-  // is untouched. The event receives a fresh sequence number, so its order
-  // against other events at the same time is exactly as if it had been
+  // Re-keys a pending event to fire at `when` instead: its key is removed and
+  // inserted again, with no slot free/alloc, no generation bump, and the
+  // callback untouched. The event receives a fresh sequence number, so its
+  // order against other events at the same time is exactly as if it had been
   // cancelled and rescheduled. Returns false (and does nothing) if `id` is
   // not pending.
   bool Reschedule(EventId id, SimTime when);
@@ -74,18 +91,31 @@ class EventQueue {
   // True if `id` is scheduled and not yet fired or cancelled.
   bool IsPending(EventId id) const;
 
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
+  bool empty() const { return size() == 0; }
+  size_t size() const {
+    return window_size_ + heap_.size() + (inflight_slot_ != kNoSlot ? 1 : 0);
+  }
 
   // Time of the earliest pending event. Only valid when !empty().
-  SimTime NextTime() const;
+  SimTime NextTime() const {
+    // Window keys are below heap keys; an empty window and heap leave the
+    // in-flight reservation as the only pending event.
+    unsigned __int128 next = window_size_ > 0 ? window_[window_size_ - 1].key
+                             : heap_.empty()  ? inflight_key_
+                                              : heap_.front().key;
+    if (inflight_slot_ != kNoSlot && inflight_key_ < next) {
+      next = inflight_key_;
+    }
+    return static_cast<SimTime>(next >> 64);
+  }
 
   // Removes and returns the earliest pending event. Only valid when !empty().
-  // For a repeating event the slot stays live, re-keyed to when + period with
-  // a fresh sequence number; the callback is moved out for the caller to
-  // invoke and must be handed back via RestoreRepeating() afterwards (the
-  // slot cannot be borrowed from during the callback: nested schedules may
-  // reallocate the slot table, and Cancel may free the slot mid-callback).
+  // For a repeating event the slot stays live and its next key (when +
+  // period, fresh sequence number) is reserved; the callback is moved out for
+  // the caller to invoke and must be handed back via RestoreRepeating()
+  // afterwards (the slot cannot be borrowed from during the callback: nested
+  // schedules may reallocate the slot table, and Cancel may free the slot
+  // mid-callback).
   struct Fired {
     SimTime when;
     EventId id;
@@ -94,9 +124,11 @@ class EventQueue {
   };
   Fired PopNext();
 
-  // Returns a repeating callback to its slot after invocation. A no-op if
-  // the event was cancelled (or cancelled + slot reused) during its own
-  // callback — the callback is then dropped on the floor, ending the cycle.
+  // Returns a repeating callback to its slot after invocation and inserts the
+  // key PopNext() reserved, unless the callback rescheduled the event (its
+  // new key is already in place). A no-op if the event was cancelled (or
+  // cancelled + slot reused) during its own callback — the callback is then
+  // dropped on the floor, ending the cycle.
   void RestoreRepeating(EventId id, InlineCallback fn);
 
   // Releases slot-table memory after a burst: drops trailing free slots and
@@ -124,27 +156,32 @@ class EventQueue {
   size_t slot_count() const { return slots_.size(); }
 
  private:
-  static constexpr uint32_t kNotInHeap = UINT32_MAX;
-  static constexpr uint32_t kNoFreeSlot = UINT32_MAX;
+  // Near-future window capacity; a refill takes half of it.
+  static constexpr uint32_t kWindow = 32;
+  // Slot::pos values above every heap position.
+  static constexpr uint32_t kInWindow = UINT32_MAX - 2;
+  static constexpr uint32_t kInFlight = UINT32_MAX - 1;  // Callback running.
+  static constexpr uint32_t kNotPending = UINT32_MAX;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
   // ShrinkToFit leaves tables smaller than this alone: re-growing would cost
   // more than the held memory is worth.
   static constexpr size_t kShrinkMinSlots = 256;
 
-  // The (when, seq) key lives in the heap entry, not here: the sift loops
-  // must not dereference this (large) struct per comparison.
+  // The (when, seq) key lives in the window or heap entry, not here: the
+  // ordering loops must not dereference this (large) struct per comparison.
   struct Slot {
-    Duration period = 0;    // > 0: repeating; PopNext re-keys instead of freeing.
+    Duration period = 0;  // > 0: repeating; PopNext reserves the next key.
     InlineCallback fn;
-    uint32_t gen = 0;            // Bumped on free; stale ids miss.
-    // Position in the heap; kNotInHeap means "not pending".
-    uint32_t heap_pos = kNotInHeap;
-    uint32_t next_free = kNoFreeSlot;
+    uint32_t gen = 0;  // Bumped on free; stale ids miss.
+    // Heap position, or kInWindow, kInFlight or kNotPending.
+    uint32_t pos = kNotPending;
+    uint32_t next_free = kNoSlot;
   };
 
   // The (time, sequence) key packed so one unsigned compare is the full
   // lexicographic order; seq is globally unique, so keys never tie and pop
-  // order is independent of the heap's internal arrangement.
-  struct HeapEntry {
+  // order is independent of how the window and heap arrange their entries.
+  struct Entry {
     unsigned __int128 key;
     uint32_t slot;
 
@@ -165,13 +202,22 @@ class EventQueue {
 
   EventId ScheduleSlot(SimTime when, Duration period, InlineCallback fn);
 
+  // Files (key, slot) in the window or the heap, keeping every window key
+  // below every heap key.
+  void Insert(unsigned __int128 key, uint32_t slot);
+  // Takes `slot` out of the window, the heap or the in-flight reservation;
+  // the slot is then not pending.
+  void Detach(uint32_t slot);
+  // Moves up to kWindow / 2 of the earliest heap entries into the empty
+  // window.
+  void Refill();
+
   void SiftUp(size_t pos);
-  void SiftDown(size_t pos);
-  // Pop-path variant: walks the hole to a leaf promoting the best child
-  // (no per-level compare against the displaced entry), then sifts the entry
-  // up from there. Pops always displace a near-maximal key — a re-keyed
-  // repeating timer or the heap's last entry — so the sift-up is almost
-  // always a single compare.
+  // Walks the hole at `pos` to a leaf promoting the best child (no per-level
+  // compare against the displaced entry), then sifts the entry up from there.
+  // The entry is the heap's last (on removal) or a key scheduled behind the
+  // heap top (on promotion into an empty window), so it is nearly always
+  // late and the sift-up is almost always a single compare.
   void SiftDownFromTop(size_t pos);
   // Detaches the heap entry at `pos` (swap with last + sift both ways).
   void RemoveFromHeap(size_t pos);
@@ -181,8 +227,15 @@ class EventQueue {
   void FreeSlot(uint32_t slot);
 
   std::vector<Slot> slots_;
-  std::vector<HeapEntry> heap_;  // 4-ary min-heap by (when, seq).
-  uint32_t free_head_ = kNoFreeSlot;
+  // Near-future window in descending key order: window_[0] is the latest
+  // entry, window_[window_size_ - 1] the next event.
+  std::array<Entry, kWindow> window_;
+  uint32_t window_size_ = 0;
+  std::vector<Entry> heap_;  // 4-ary min-heap by (when, seq).
+  // The repeating event whose callback is running, and its next key.
+  uint32_t inflight_slot_ = kNoSlot;
+  unsigned __int128 inflight_key_ = 0;
+  uint32_t free_head_ = kNoSlot;
   // Slots created after a ShrinkToFit start at this generation, keeping every
   // id handed out for a dropped slot permanently dead.
   uint32_t gen_floor_ = 0;

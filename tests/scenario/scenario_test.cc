@@ -2,8 +2,10 @@
 // chaos injection determinism, and the end-to-end DDoS detection story.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/fleet/cluster.h"
 #include "src/scenario/chaos.h"
@@ -41,6 +43,30 @@ scenario::PacketRecord MakeRecord(sim::SimTime t, uint16_t node) {
   rec.pkt.flow_key.dst_port = 53;
   rec.pkt.flow_key.proto = 17;
   return rec;
+}
+
+// Returns `bytes` with the header's 64-bit record count set to `count`.
+std::string WithRecordCount(std::string bytes, uint64_t count) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[16 + i] = static_cast<char>((count >> (8 * i)) & 0xff);
+  }
+  return bytes;
+}
+
+// Parses `bytes` into a non-empty sentinel trace. A rejected parse must leave
+// the sentinel untouched; an accepted one must re-serialize to exactly
+// `bytes`. Returns whether the parse was accepted.
+bool ParseIsCanonicalOrUntouched(std::string_view bytes) {
+  scenario::PacketTrace out;
+  out.node_count = 77;
+  out.records.push_back(MakeRecord(sim::Micros(1), 9));
+  const std::string sentinel = out.Serialize();
+  if (!scenario::PacketTrace::Parse(bytes, &out)) {
+    EXPECT_EQ(out.Serialize(), sentinel);
+    return false;
+  }
+  EXPECT_EQ(out.Serialize(), bytes);
+  return true;
 }
 
 // --- TCPT wire format --------------------------------------------------------
@@ -100,10 +126,69 @@ TEST(PacketTrace, ParseRejectsCorruptInput) {
   bad[scenario::kPacketTraceHeaderBytes + 56] = 7;  // Invalid IoKind.
   EXPECT_FALSE(scenario::PacketTrace::Parse(bad, &out));
 
+  // Record counts whose byte size wraps 2^64 back onto the real size:
+  // 24 + 2^58 * 64 is 24 and 24 + (2^58 + 1) * 64 is 88 modulo 2^64.
+  constexpr uint64_t kWraps = uint64_t{1} << 58;
+  EXPECT_FALSE(scenario::PacketTrace::Parse(
+      WithRecordCount(good.substr(0, scenario::kPacketTraceHeaderBytes), kWraps), &out));
+  EXPECT_FALSE(scenario::PacketTrace::Parse(WithRecordCount(good, kWraps + 1), &out));
+
   EXPECT_EQ(out.node_count, 77u);
   EXPECT_TRUE(out.records.empty());
   // The pristine bytes still parse.
   EXPECT_TRUE(scenario::PacketTrace::Parse(good, &out));
+}
+
+TEST(PacketTrace, MutationCorpusIsRejectedOrCanonical) {
+  // A deterministic corpus of damaged traces: every parse either fails and
+  // leaves its output alone, or succeeds and re-serializes to its input.
+  scenario::PacketTrace trace;
+  trace.node_count = 4;
+  trace.records.push_back(MakeRecord(sim::Micros(10), 0));
+  trace.records.push_back(MakeRecord(sim::Micros(10), 2));
+  trace.records.push_back(MakeRecord(sim::Micros(11), 1));
+  const std::string good = trace.Serialize();
+  constexpr size_t kHeader = scenario::kPacketTraceHeaderBytes;
+  constexpr size_t kRecord = scenario::kPacketTraceRecordBytes;
+  ASSERT_EQ(good.size(), kHeader + 3 * kRecord);
+  EXPECT_TRUE(ParseIsCanonicalOrUntouched(good));
+
+  // Every truncation.
+  for (size_t len = 0; len < good.size(); ++len) {
+    EXPECT_FALSE(ParseIsCanonicalOrUntouched(std::string_view(good.data(), len)))
+        << "truncated to " << len << " bytes";
+  }
+
+  // Every single-bit flip in the header and the first record. Flips in the
+  // magic, version, reserved word, record count and record padding must be
+  // rejected; the node count and the payload fields carry any value.
+  size_t accepted = 0;
+  for (size_t byte = 0; byte < kHeader + kRecord; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = good;
+      bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
+      const bool ok = ParseIsCanonicalOrUntouched(bad);
+      accepted += ok ? 1 : 0;
+      const bool node_count = byte >= 8 && byte < 12;
+      const bool io_kind = byte == kHeader + 56;  // Valid or not, by value.
+      const bool must_reject =
+          byte < kHeader ? !node_count : byte >= kHeader + 58;  // Record pad.
+      if (must_reject) {
+        EXPECT_FALSE(ok) << "flip of bit " << bit << " in byte " << byte;
+      } else if (!io_kind) {
+        EXPECT_TRUE(ok) << "flip of bit " << bit << " in byte " << byte;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+
+  // Record counts that disagree with the body, including ones whose byte
+  // size wraps 2^64.
+  for (const uint64_t count : {uint64_t{0}, uint64_t{2}, uint64_t{4}, uint64_t{1} << 58,
+                               (uint64_t{1} << 58) + 1, ~uint64_t{0}}) {
+    EXPECT_FALSE(ParseIsCanonicalOrUntouched(WithRecordCount(good, count)))
+        << "record count " << count;
+  }
 }
 
 // --- Record -> replay --------------------------------------------------------

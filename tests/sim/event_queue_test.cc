@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <utility>
@@ -491,9 +493,10 @@ TEST(EventQueueTest, MoveOnlyCaptureSchedules) {
 // follows the queue's sequence rule: each Schedule, Reschedule and repeating
 // pop takes the next seq. The queue must pop exactly the oracle's order (same
 // time, same event) and agree with it on size(), NextTime() and the return
-// value of every IsPending, Cancel and Reschedule. Liveness is tracked per
-// scheduled event, not per id value, so a stale id that aliases a newer
-// event's id shows up as a mismatch.
+// value of every IsPending, Cancel and Reschedule — also while a repeating
+// event's callback runs, when the event is pending under the key its pop
+// reserved. Liveness is tracked per scheduled event, not per id value, so a
+// stale id that aliases a newer event's id shows up as a mismatch.
 class OracleHarness {
  public:
   // What a popped repeating event's callback does to its own id before the
@@ -524,17 +527,21 @@ class OracleHarness {
     EXPECT_EQ(q_.IsPending(issued_[marker]), key_of_.count(marker) == 1);
   }
 
+  // Cancel and Reschedule of the pending event with the given rank in
+  // (when, seq) order; rank 0 fires next.
+  void CancelRank(size_t rank) { CancelMarker(MarkerAtRank(rank)); }
+  void RescheduleRank(size_t rank, SimTime when) {
+    RescheduleMarker(MarkerAtRank(rank), when);
+  }
+
   // Pops the earliest event and checks it against the oracle's minimum.
   // Returns false once both are empty.
   bool PopOne(OnRepeat on_repeat = OnRepeat::kKeep, SimTime reschedule_to = 0) {
-    EXPECT_EQ(q_.size(), pending_.size());
-    EXPECT_EQ(q_.total_scheduled(), next_seq_ - 1);
+    ExpectQueueMatches();
     if (pending_.empty()) {
-      EXPECT_TRUE(q_.empty());
       return false;
     }
     const auto [key, entry] = *pending_.begin();
-    EXPECT_EQ(q_.NextTime(), key.first);
     pending_.erase(pending_.begin());
     key_of_.erase(entry.marker);
     if (entry.period > 0) {
@@ -554,11 +561,17 @@ class OracleHarness {
       ++fires_[fired_marker_];
     }
     if (fired.repeating) {
+      // Still inside the callback: the event is pending under its reserved
+      // key, before and after it re-keys or cancels itself.
+      ExpectQueueMatches();
+      EXPECT_TRUE(q_.IsPending(fired.id));
       if (on_repeat == OnRepeat::kReschedule) {
         RescheduleMarker(entry.marker, reschedule_to);
       } else if (on_repeat == OnRepeat::kCancel) {
         CancelMarker(entry.marker);
       }
+      ExpectQueueMatches();
+      EXPECT_EQ(q_.IsPending(fired.id), on_repeat != OnRepeat::kCancel);
       q_.RestoreRepeating(fired.id, std::move(fired.fn));
     }
     return true;
@@ -589,6 +602,21 @@ class OracleHarness {
   void Insert(Key key, Entry entry) {
     key_of_[entry.marker] = key;
     pending_.emplace(key, entry);
+  }
+
+  void ExpectQueueMatches() const {
+    EXPECT_EQ(q_.size(), pending_.size());
+    EXPECT_EQ(q_.total_scheduled(), next_seq_ - 1);
+    EXPECT_EQ(q_.empty(), pending_.empty());
+    if (!pending_.empty()) {
+      EXPECT_EQ(q_.NextTime(), pending_.begin()->first.first);
+    }
+  }
+
+  size_t MarkerAtRank(size_t rank) const {
+    auto it = pending_.begin();
+    std::advance(it, rank);
+    return it->second.marker;
   }
 
   void CancelMarker(size_t marker) {
@@ -658,6 +686,60 @@ TEST(EventQueueTest, RandomChurnMatchesOrderedMapOracle) {
     EXPECT_EQ(h.fires(t), 50) << "timer " << t;
     h.Cancel(t);
   }
+
+  // The near-future window: a queue several windows deep, so pops refill the
+  // window from the heap and bursts in front of everything overfill it and
+  // spill its latest entries to the heap. Cancels and re-keys by rank hit the
+  // window (low ranks) and the heap (high ranks), moving events window ->
+  // heap (re-keyed far out) and heap -> window (re-keyed to just after now).
+  // Short-period repeating events keep, re-key or cancel themselves inside
+  // their callbacks while the window churns around them.
+  for (int round = 0; round < 40; ++round) {
+    const SimTime now = h.now();
+    for (int i = 0; i < 40; ++i) {
+      h.Schedule(now + 2000 + rnd() % 200000);
+    }
+    for (int i = 0; i < 4; ++i) {
+      h.Schedule(now + 1 + rnd() % 3000, static_cast<Duration>(200 + rnd() % 800));
+    }
+    for (int i = 0; i < 48; ++i) {
+      h.Schedule(now + 1 + rnd() % 1500);
+    }
+    for (int i = 0; i < 24; ++i) {
+      // Ranks among the 32 earliest and the 32 latest events, the sentinel
+      // (the latest of all) excluded.
+      const uint64_t r = rnd();
+      const size_t size = h.queue().size();
+      const size_t low = r % std::min<size_t>(size - 1, 32);
+      const size_t high = size - 2 - low;
+      switch (r % 5) {
+        case 0:
+          h.CancelRank(low);
+          break;
+        case 1:
+          h.RescheduleRank(low, h.now() + 300000 + r % 1000);
+          break;
+        case 2:
+          h.RescheduleRank(high, h.now() + 1 + r % 100);
+          break;
+        case 3:
+          h.CancelRank(high);
+          break;
+        default:
+          h.IsPending(rnd());
+          break;
+      }
+      h.PopOne(static_cast<OracleHarness::OnRepeat>(rnd() % 3), h.now() + rnd() % 2000);
+    }
+    for (int i = 0; i < 40; ++i) {
+      h.PopOne(static_cast<OracleHarness::OnRepeat>(rnd() % 3), h.now() + rnd() % 2000);
+    }
+  }
+  // Drain everything but the sentinel; repeating events cancel themselves.
+  while (h.queue().size() > 1) {
+    h.PopOne(OracleHarness::OnRepeat::kCancel);
+  }
+  EXPECT_EQ(h.queue().NextTime(), kSentinel);
 
   // Two rounds of mixed churn, each followed by a drain with interleaved
   // cancels and explicit shrinks. Times cluster near now with occasional far
