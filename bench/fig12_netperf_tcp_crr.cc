@@ -2,12 +2,20 @@
 // average RX/TX packets per second) under four mechanisms.
 // Paper: Tai Chi -0.2%, Tai Chi-vDP (type-1) ~-8%, type-2 (QEMU+KVM) ~-26%
 // versus the static-partition baseline.
+//
+// Exits 1 on a shape mismatch: Tai Chi CPS more than 1% from the baseline,
+// vDP outside [-12%, -3%] of it, or type-2 outside [-32%, -18%]. The
+// verdict goes to stderr, so stdout stays the figure alone.
 #include "bench/common.h"
 
 using namespace taichi;
 
-int main() {
+int main(int argc, char** argv) {
   bench::PrintHeader("Figure 12", "netperf tcp_crr across virtualization mechanisms");
+
+  bench::JsonReport json("fig12_netperf_tcp_crr", argc, argv);
+  json.Config("connections", static_cast<int64_t>(256));
+  json.Config("seed", static_cast<int64_t>(42));
 
   struct Row {
     exp::Mode mode;
@@ -38,5 +46,23 @@ int main() {
   }
   t.Print();
   std::printf("\npaper: Tai Chi ~-0.2%%, Tai Chi-vDP ~-8%%, type-2 ~-26%% vs baseline\n");
-  return 0;
+
+  // CPS change vs baseline, in percent, per mechanism (rows[0] is baseline).
+  double delta[4] = {};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    delta[i] = (rows[i].result.txn_per_sec / base.txn_per_sec - 1.0) * 100.0;
+    const std::string prefix = std::string(exp::ToString(rows[i].mode)) + ".";
+    json.Metric(prefix + "cps", rows[i].result.txn_per_sec);
+    json.Metric(prefix + "cps_vs_base_pct", delta[i]);
+  }
+  if (!json.Write()) {
+    return 1;
+  }
+  const bool shape_ok = std::abs(delta[1]) <= 1.0 && delta[2] >= -12.0 && delta[2] <= -3.0 &&
+                        delta[3] >= -32.0 && delta[3] <= -18.0;
+  std::fprintf(stderr,
+               "%s: CPS vs baseline: Tai Chi within 1%%, vDP in [-12%%, -3%%], type-2 in "
+               "[-32%%, -18%%]\n",
+               shape_ok ? "PASS" : "SHAPE MISMATCH");
+  return shape_ok ? 0 : 1;
 }

@@ -2,6 +2,9 @@
 // across the netperf and sockperf suites. Paper: average overhead 0.6%,
 // peaking at 1.92% (tcp_stream avg_tx_pps); sockperf udp latencies within
 // noise of baseline.
+//
+// Exits 1 on a shape mismatch: average or peak throughput overhead at or
+// above 2%. The verdict goes to stderr, so stdout stays the figure alone.
 #include "bench/common.h"
 
 using namespace taichi;
@@ -24,9 +27,11 @@ std::unique_ptr<exp::Testbed> Bed(exp::Mode mode) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   bench::PrintHeader("Figure 14",
                      "normalized DP performance: netperf + sockperf, Tai Chi vs baseline");
+  bench::JsonReport json("fig14_dp_overhead", argc, argv);
+  json.Config("seed", static_cast<int64_t>(42));
   std::vector<Cell> cells;
 
   // netperf udp_stream: 64 concurrent "connections" (flows), bandwidth.
@@ -159,8 +164,16 @@ int main() {
               sim::Table::Num(c.taichi, 1), sim::Table::Num(overhead_pct, 2) + "%"});
   }
   t.Print();
-  std::printf("\nthroughput overhead: avg %.2f%%, peak %.2f%%\n",
-              throughput_cells ? sum / throughput_cells : 0.0, worst);
+  const double average = throughput_cells ? sum / throughput_cells : 0.0;
+  std::printf("\nthroughput overhead: avg %.2f%%, peak %.2f%%\n", average, worst);
   std::printf("paper: average 0.6%%, peak 1.92%% (tcp_stream avg_tx_pps)\n");
-  return 0;
+  json.Metric("throughput_overhead.avg_pct", average);
+  json.Metric("throughput_overhead.peak_pct", worst);
+  if (!json.Write()) {
+    return 1;
+  }
+  const bool shape_ok = average < 2.0 && worst < 2.0;
+  std::fprintf(stderr, "%s: average and peak throughput overhead below 2%%\n",
+               shape_ok ? "PASS" : "SHAPE MISMATCH");
+  return shape_ok ? 0 : 1;
 }

@@ -4,6 +4,10 @@
 //   Baseline            26   30   38    5
 //   Tai Chi             27   30   38    5
 //   Tai Chi w/o probe   32   37  115    9
+//
+// Exits 1 on a shape mismatch: the Tai Chi mean more than 10% from the
+// baseline mean, or the probe-off mean or max not above Tai Chi's. The
+// verdict goes to stderr, so stdout stays the table alone.
 #include "bench/common.h"
 
 using namespace taichi;
@@ -30,9 +34,10 @@ int main(int argc, char** argv) {
   };
 
   sim::Table t({"Mechanism", "Min (us)", "Avg (us)", "Max (us)", "Mdev (us)"});
+  std::vector<sim::Summary> rtts;  // baseline, Tai Chi, Tai Chi w/o probe.
   for (exp::Mode mode :
        {exp::Mode::kBaseline, exp::Mode::kTaiChi, exp::Mode::kTaiChiNoHwProbe}) {
-    sim::Summary rtt = run(mode);
+    const sim::Summary& rtt = rtts.emplace_back(run(mode));
     t.AddRow({exp::ToString(mode), sim::Table::Num(rtt.min(), 0),
               sim::Table::Num(rtt.mean(), 0), sim::Table::Num(rtt.max(), 0),
               sim::Table::Num(rtt.mdev(), 1)});
@@ -41,5 +46,17 @@ int main(int argc, char** argv) {
   t.Print();
   std::printf(
       "\npaper: baseline 26/30/38/5, Tai Chi 27/30/38/5, w/o probe 32/37/115/9 (us)\n");
-  return json.Write() ? 0 : 1;
+  if (!json.Write()) {
+    return 1;
+  }
+  const sim::Summary& base = rtts[0];
+  const sim::Summary& taichi = rtts[1];
+  const sim::Summary& no_probe = rtts[2];
+  const bool shape_ok = std::abs(taichi.mean() / base.mean() - 1.0) <= 0.10 &&
+                        no_probe.mean() > taichi.mean() && no_probe.max() > taichi.max();
+  std::fprintf(stderr,
+               "%s: Tai Chi mean RTT within 10%% of baseline; without the probe both mean "
+               "and max RTT are higher\n",
+               shape_ok ? "PASS" : "SHAPE MISMATCH");
+  return shape_ok ? 0 : 1;
 }

@@ -1,15 +1,109 @@
 #include "src/dp/sources.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "src/obs/sketch/sketch_hash.h"
 
 namespace taichi::dp {
 
+namespace {
+
+// Tables stop at 2^16 steps (512 KiB); larger populations use the formula.
+constexpr uint32_t kMaxTabulatedFlows = uint32_t{1} << 16;
+// Below this skew the 100/s error bound approaches kGuard.
+constexpr double kMinTabulatedSkew = 0.01;
+// Far outside [0, 2^53) so that k - steps_[i] cannot overflow.
+constexpr int64_t kSentinel = int64_t{1} << 62;
+
+uint64_t DrawSalt(const OpenLoopConfig& c) {
+  if (c.attack_sources > 0) {
+    return obs::sketch::Mix64(c.flow ^ 0xddb05ULL);
+  }
+  // The salt multiplies through a large odd constant so per-node streams
+  // decorrelate; salt 0 contributes nothing and reproduces the unsalted
+  // draw bit for bit.
+  return obs::sketch::Mix64(c.flow ^ 0xf10f5ULL) ^ (c.flow_salt * 0x9e3779b97f4a7c15ULL);
+}
+
+}  // namespace
+
+ZipfRanks::ZipfRanks(uint32_t flow_count, double skew)
+    : flow_count_(flow_count), skew_(skew) {
+  if (flow_count < 2 || flow_count > kMaxTabulatedFlows || !std::isfinite(skew) ||
+      skew < kMinTabulatedSkew) {
+    return;
+  }
+  steps_.reserve(size_t{flow_count} + 1);
+  steps_.push_back(-kSentinel);
+  const double log_n = std::log(static_cast<double>(flow_count));
+  for (uint32_t j = 1; j < flow_count; ++j) {
+    const double u = std::pow(std::log(j + 1.0) / log_n, 1.0 / skew);
+    steps_.push_back(std::llround(std::ldexp(u, 53)));
+  }
+  steps_.push_back(kSentinel);
+}
+
+std::shared_ptr<const ZipfRanks> ZipfRanks::Shared(uint32_t flow_count, double skew) {
+  static std::mutex mu;
+  static std::map<std::pair<uint32_t, uint64_t>, std::weak_ptr<const ZipfRanks>> tables;
+  std::lock_guard<std::mutex> lock(mu);
+  std::weak_ptr<const ZipfRanks>& slot =
+      tables[{flow_count, std::bit_cast<uint64_t>(skew)}];
+  std::shared_ptr<const ZipfRanks> table = slot.lock();
+  if (table == nullptr) {
+    table = std::make_shared<const ZipfRanks>(flow_count, skew);
+    slot = table;
+  }
+  return table;
+}
+
+uint64_t ZipfRanks::FormulaRank(uint64_t draw, uint32_t flow_count, double skew) {
+  const double u = static_cast<double>(draw) * 0x1.0p-53;
+  const double n = static_cast<double>(flow_count);
+  const double r = std::pow(n, std::pow(u, skew));
+  return std::min<uint64_t>(flow_count - 1, static_cast<uint64_t>(r) - 1);
+}
+
+uint64_t ZipfRanks::Rank(uint64_t draw) const {
+  if (steps_.empty()) {
+    return FormulaRank(draw, flow_count_, skew_);
+  }
+  // Find the last step <= k. steps_[0] (-inf) always qualifies and the +inf
+  // sentinel never does, so base[0] and base[1] bracket k.
+  const int64_t k = static_cast<int64_t>(draw);
+  const int64_t* base = steps_.data();
+  size_t len = steps_.size();
+  while (len > 1) {
+    const size_t half = len / 2;
+    base = base[half] <= k ? base + half : base;
+    len -= half;
+  }
+  if (k - base[0] <= kGuard || base[1] - k <= kGuard) {
+    return FormulaRank(draw, flow_count_, skew_);
+  }
+  return static_cast<uint64_t>(base - steps_.data());
+}
+
 OpenLoopSource::OpenLoopSource(sim::Simulation* sim, hw::Accelerator* accel, uint32_t queue,
                                OpenLoopConfig config, uint64_t seed)
-    : sim_(sim), accel_(accel), queue_(queue), config_(config), rng_(seed) {}
+    : sim_(sim), accel_(accel), queue_(queue), config_(config),
+      draw_salt_(DrawSalt(config)),
+      zipf_(config.attack_sources == 0 && config.flow_count > 1
+                ? ZipfRanks::Shared(config.flow_count, config.flow_skew)
+                : nullptr),
+      rng_(seed) {}
+
+void OpenLoopSource::set_rate(double pps) {
+  config_.rate_pps = pps;
+  if (running_ && event_ == sim::kInvalidEventId) {
+    ScheduleNext();  // Parked at rate <= 0 (or started there): re-arm.
+  }
+}
 
 void OpenLoopSource::Start() {
   if (running_) {
@@ -33,9 +127,8 @@ double OpenLoopSource::CurrentRate() const {
 obs::FlowKey OpenLoopSource::MakeFlowKey(uint64_t packet_index) const {
   if (config_.attack_sources > 0) {
     // DDoS mode: few spoofed attackers, uniform share each, one victim.
-    const uint64_t h = obs::sketch::Mix64(
-        obs::sketch::Mix64(config_.flow ^ 0xddb05ULL) ^ packet_index);
-    const uint64_t rank = h % config_.attack_sources;
+    const uint64_t rank =
+        obs::sketch::Mix64(draw_salt_ ^ packet_index) % config_.attack_sources;
     obs::FlowKey key;
     key.src_ip = kAttackSrcBase | static_cast<uint32_t>(rank & 0xffu);
     key.dst_ip = 0x0a800000u | static_cast<uint32_t>(config_.flow & 0xffffu);
@@ -44,23 +137,11 @@ obs::FlowKey OpenLoopSource::MakeFlowKey(uint64_t packet_index) const {
     key.proto = obs::kProtoUdp;
     return key;
   }
-  uint64_t rank = 0;
-  if (config_.flow_count > 1) {
-    // Counter-hash draw: uniform u from a mix of (source flow id, packet
-    // index), mapped through rank = floor(N^(u^skew)) - 1 so rank 0 takes
-    // the largest share and the tail thins out Zipf-style. No Rng draws.
-    // The salt multiplies through a large odd constant so per-node streams
-    // decorrelate; salt 0 contributes nothing and reproduces the unsalted
-    // draw bit for bit.
-    const uint64_t h = obs::sketch::Mix64(
-        obs::sketch::Mix64(config_.flow ^ 0xf10f5ULL) ^
-        (config_.flow_salt * 0x9e3779b97f4a7c15ULL) ^ packet_index);
-    const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-    const double n = static_cast<double>(config_.flow_count);
-    const double r = std::pow(n, std::pow(u, config_.flow_skew));
-    rank = std::min<uint64_t>(config_.flow_count - 1,
-                              static_cast<uint64_t>(r) - 1);
-  }
+  // Counter-hash draw: a uniform 53-bit draw from a mix of (source flow id,
+  // packet index), mapped to a Zipf-like rank (ZipfRanks) so rank 0 takes
+  // the largest share and the tail thins out. No Rng draws.
+  const uint64_t rank =
+      zipf_ != nullptr ? zipf_->Rank(obs::sketch::Mix64(draw_salt_ ^ packet_index) >> 11) : 0;
   obs::FlowKey key;
   key.src_ip = 0x0a000000u | static_cast<uint32_t>(rank & 0xffffffu);
   // Salted sources serve per-node endpoint blocks (32 sources per salt in

@@ -5,6 +5,8 @@
 #define SRC_DP_SOURCES_H_
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "src/hw/accelerator.h"
 #include "src/sim/random.h"
@@ -61,6 +63,46 @@ struct OpenLoopConfig {
   sim::Duration calm_mean = sim::Millis(20);
 };
 
+// The Zipf-like flow-rank draw behind OpenLoopConfig::flow_count/flow_skew:
+// a 53-bit draw k maps to rank(k) = min(N-1, floor(N^((k * 2^-53)^s)) - 1).
+// That is a step function of k, with step j (rank j from here up) at
+// k_j = 2^53 * (ln(j+1) / ln N)^(1/s). Rank() looks k up among the tabulated
+// steps instead of calling pow twice, and falls back to the formula within
+// kGuard draw units of any step, so it returns exactly what the formula
+// would.
+//
+// Why kGuard = 2^20 suffices: each pow is within 1 ulp, so the computed
+// N^(u^s) is within about 2^-47 (relative) of the true value (ln N < 23).
+// The computed rank can therefore leave the true step function only within
+// about 100/s draw units of a true step, and a tabulated step lies within a
+// few units of its true position. The fallback takes about 2*N*kGuard/2^53
+// of draws (6e-8 at N = 256). Where that bound fails (s < 0.01, s not
+// finite) or the table would be large (N > 2^16), Rank() always uses the
+// formula.
+class ZipfRanks {
+ public:
+  static constexpr int64_t kGuard = int64_t{1} << 20;
+
+  // The immutable table for (flow_count, skew), shared by every holder:
+  // built by the first caller, freed with the last holder. Thread-safe.
+  static std::shared_ptr<const ZipfRanks> Shared(uint32_t flow_count, double skew);
+
+  // Builds the table (Shared() is the way to get one).
+  ZipfRanks(uint32_t flow_count, double skew);
+
+  // rank(draw) for a draw in [0, 2^53). Branch-free search, allocation-free.
+  uint64_t Rank(uint64_t draw) const;
+  // The formula itself: two pow calls.
+  static uint64_t FormulaRank(uint64_t draw, uint32_t flow_count, double skew);
+
+ private:
+  uint32_t flow_count_;
+  double skew_;
+  // -inf sentinel, k_1 .. k_{N-1}, +inf sentinel; empty when Rank() always
+  // uses the formula.
+  std::vector<int64_t> steps_;
+};
+
 class OpenLoopSource {
  public:
   OpenLoopSource(sim::Simulation* sim, hw::Accelerator* accel, uint32_t queue,
@@ -75,7 +117,9 @@ class OpenLoopSource {
     }
   }
   bool running() const { return running_; }
-  void set_rate(double pps) { config_.rate_pps = pps; }
+  // A rate <= 0 parks the arrival event at its next firing; raising it again
+  // re-arms a running, parked source.
+  void set_rate(double pps);
 
   // The experiment sink forwards per-packet completions here.
   void OnDelivered(const hw::IoPacket& pkt, sim::SimTime completed);
@@ -103,6 +147,10 @@ class OpenLoopSource {
   hw::Accelerator* accel_;
   uint32_t queue_;
   OpenLoopConfig config_;
+  // Per-source constant of the flow-key draw: h = Mix64(draw_salt_ ^ index).
+  uint64_t draw_salt_;
+  // Zipf rank table (null unless the source draws from flow_count > 1 flows).
+  std::shared_ptr<const ZipfRanks> zipf_;
   sim::Rng rng_;
   // The repeating arrival event; re-keyed with a fresh gap per packet.
   sim::EventId event_ = sim::kInvalidEventId;

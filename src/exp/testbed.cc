@@ -1,6 +1,7 @@
 #include "src/exp/testbed.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <string>
 
@@ -153,9 +154,7 @@ void Testbed::BuildServices() {
     service->set_flow_monitor(&flow_dp_);
     service->set_sink(
         [this](const sim::PacketHandle* batch, size_t count, sim::SimTime completed) {
-          for (size_t i = 0; i < count; ++i) {
-            DispatchFromDp(batch[i], completed);
-          }
+          DispatchFromDp(batch, count, completed);
         });
     os::Task* task = kernel_->Spawn("dp_service_" + std::to_string(cpu),
                                     std::make_unique<os::BehaviorRef>(service.get()),
@@ -166,6 +165,9 @@ void Testbed::BuildServices() {
       WireServiceProbe(services_.size() - 1);
     }
   }
+  // A burst costs at least pcie_dma_cost per packet at the default costs, so
+  // each service has at most one burst waiting out the PCIe leg.
+  vm_fifo_ = HandleFifo(config_.dp_service.burst_size * services_.size());
 }
 
 void Testbed::WireServiceProbe(size_t service_index) {
@@ -227,33 +229,89 @@ void Testbed::InjectHandle(sim::PacketHandle h) {
   machine_->accelerator().IngressHandle(queue, h);
 }
 
-void Testbed::DispatchFromDp(sim::PacketHandle h, sim::SimTime completed) {
+void Testbed::DispatchFromDp(const sim::PacketHandle* batch, size_t count,
+                             sim::SimTime completed) {
   sim::PacketPool& pool = machine_->pool();
-  const hw::IoPacket& pkt = pool.Get(h);
-  switch (pkt.kind) {
-    case hw::IoKind::kNetRx: {
-      sim_.Schedule(config_.pcie_dma_cost, [this, h] {
-        const hw::IoPacket& delivered = machine_->pool().Get(h);
-        auto it = vm_sinks_.find(OwnerOf(delivered.user_tag));
-        if (it != vm_sinks_.end()) {
-          it->second(delivered, sim_.Now());
-        }
-        machine_->pool().Free(h);
-      });
-      return;
+  uint32_t run = 0;  // kNetRx handles queued since the last delivery event.
+  // Per-packet delivery events would all share one time and consecutive
+  // sequence numbers, so nothing could run between a run's deliveries; one
+  // event per run keeps that order. Scheduling it before dispatching the
+  // next non-kNetRx handle keeps whatever that handle schedules after it.
+  auto flush = [&] {
+    if (run > 0) {
+      sim_.Schedule(config_.pcie_dma_cost, [this, n = run] { DeliverToVm(n); });
+      run = 0;
     }
-    case hw::IoKind::kNetTx:
-      machine_->nic().Transmit(h);  // The port owns the handle from here.
-      return;
-    case hw::IoKind::kBlockIo: {
-      auto it = storage_sinks_.find(OwnerOf(pkt.user_tag));
-      if (it != storage_sinks_.end()) {
-        it->second(pkt, completed);
+  };
+  for (size_t i = 0; i < count; ++i) {
+    const sim::PacketHandle h = batch[i];
+    const hw::IoPacket& pkt = pool.Get(h);
+    switch (pkt.kind) {
+      case hw::IoKind::kNetRx:
+        vm_fifo_.Push(h);
+        ++run;
+        break;
+      case hw::IoKind::kNetTx:
+        flush();
+        machine_->nic().Transmit(h);  // The port owns the handle from here.
+        break;
+      case hw::IoKind::kBlockIo: {
+        flush();
+        auto it = storage_sinks_.find(OwnerOf(pkt.user_tag));
+        if (it != storage_sinks_.end()) {
+          it->second(pkt, completed);
+        }
+        pool.Free(h);
+        break;
       }
-      pool.Free(h);
-      return;
     }
   }
+  flush();
+}
+
+void Testbed::DeliverToVm(uint32_t count) {
+  sim::PacketPool& pool = machine_->pool();
+  const sim::SimTime now = sim_.Now();
+  // Looked up once per run of equal owners. Elements of an unordered_map
+  // stay put when other keys are inserted, so a sink may register sinks.
+  Sink* sink = nullptr;
+  uint16_t owner = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    const sim::PacketHandle h = vm_fifo_.Pop();
+    const hw::IoPacket& pkt = pool.Get(h);
+    if (i == 0 || OwnerOf(pkt.user_tag) != owner) {
+      owner = OwnerOf(pkt.user_tag);
+      auto it = vm_sinks_.find(owner);
+      sink = it != vm_sinks_.end() ? &it->second : nullptr;
+    }
+    if (sink != nullptr) {
+      (*sink)(pkt, now);
+    }
+    pool.Free(h);
+  }
+}
+
+Testbed::HandleFifo::HandleFifo(size_t capacity)
+    : slots_(std::bit_ceil(std::max<size_t>(capacity, 1))) {}
+
+void Testbed::HandleFifo::Push(sim::PacketHandle h) {
+  if (size_ == slots_.size()) {
+    // Full: unroll the ring so it starts at slot 0, then double it.
+    std::rotate(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(head_),
+                slots_.end());
+    head_ = 0;
+    slots_.resize(slots_.size() * 2);
+  }
+  slots_[(head_ + size_) & (slots_.size() - 1)] = h;
+  ++size_;
+}
+
+sim::PacketHandle Testbed::HandleFifo::Pop() {
+  assert(size_ > 0 && "VM delivery event without a queued handle");
+  const sim::PacketHandle h = slots_[head_];
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --size_;
+  return h;
 }
 
 sim::Duration Testbed::VmStackDelay() {

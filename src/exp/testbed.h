@@ -256,7 +256,29 @@ class Testbed {
   void ScheduleDrainCheck();
   void FinishDisableTaiChi();
   void InjectHandle(sim::PacketHandle h);
-  void DispatchFromDp(sim::PacketHandle h, sim::SimTime completed);
+  // The DP burst sink: kNetTx and kBlockIo handles are dispatched inline in
+  // burst order; each maximal run of consecutive kNetRx handles is queued on
+  // vm_fifo_ and gets one PCIe delivery event, scheduled where the run ends.
+  void DispatchFromDp(const sim::PacketHandle* batch, size_t count, sim::SimTime completed);
+  // The delivery event of one run: pops `count` handles and hands each to
+  // its owner's VM sink, then frees it.
+  void DeliverToVm(uint32_t count);
+
+  // kNetRx handles between their DP burst and their VM delivery, in burst
+  // order. Every delivery waits the same pcie_dma_cost, so delivery events
+  // fire in the order they were scheduled and each one's run is at the
+  // front. A power-of-two ring that doubles only when full.
+  class HandleFifo {
+   public:
+    explicit HandleFifo(size_t capacity = 1);
+    void Push(sim::PacketHandle h);
+    sim::PacketHandle Pop();
+
+   private:
+    std::vector<sim::PacketHandle> slots_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
 
   TestbedConfig config_;
   sim::Simulation sim_;
@@ -278,6 +300,7 @@ class Testbed {
   std::vector<std::unique_ptr<dp::OpenLoopSource>> background_;
   std::vector<double> background_base_pps_;  // Start-time rate per source.
 
+  HandleFifo vm_fifo_;
   std::unordered_map<uint16_t, Sink> vm_sinks_;
   std::unordered_map<uint16_t, Sink> wire_sinks_;
   std::unordered_map<uint16_t, Sink> storage_sinks_;

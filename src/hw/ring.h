@@ -60,8 +60,10 @@ class DescriptorRing {
   size_t capacity() const { return capacity_; }
   uint64_t drops() const { return drops_; }
 
-  // Invoked on every Push. Used by poll services to wake from idle
-  // fast-forward; must not pop synchronously from inside the callback.
+  // Invoked on every Push, once the descriptor is in the ring. Poll services
+  // use it to wake from idle fast-forward, and it may pop synchronously:
+  // PollService's does, through Kernel::KickTask -> Next. That is safe
+  // because Push advances tail_ before it calls the watcher.
   void set_watcher(sim::InlineCallback watcher) { watcher_ = std::move(watcher); }
 
  private:

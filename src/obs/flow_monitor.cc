@@ -25,11 +25,14 @@ FlowMonitor::FlowMonitor(const FlowMonitorConfig& config)
     : cms_(CmsConfig(config)), hll_(HllConfig(config)), topk_(TopkConfig(config)) {}
 
 void FlowMonitor::OnPacket(const FlowKey& key, uint32_t bytes) {
-  const sketch::HashPair h = sketch::HashKey(key, cms_.seed());
-  cms_.Update(h, bytes);
-  const sketch::CountMinSketch::Estimate est = cms_.Query(h);
-  topk_.Update(key, h, bytes, est.bytes, est.packets);
-  hll_.Observe(key);
+  const sketch::CountMinSketch::Estimate est = cms_.Update(key, bytes);
+  // A key the heavy-hitter table already tracks is in the HLL already: an
+  // earlier OnPacket observed it when it was admitted, or it arrived by
+  // Merge, which also took the register-wise max with the sender's HLL.
+  // Observing it again could not raise a register.
+  if (!topk_.Update(key, bytes, est.bytes, est.packets)) {
+    hll_.Observe(key);
+  }
 }
 
 bool FlowMonitor::Merge(const FlowMonitor& other) {

@@ -42,10 +42,10 @@ class FlowMonitor {
  public:
   explicit FlowMonitor(const FlowMonitorConfig& config);
 
-  // Records one packet. O(cms_depth + log topk_capacity), allocation-free:
-  // the flow key is hashed once and the pair reused across the count-min
-  // update, the point query feeding the heavy-hitter filter, and the table
-  // update itself.
+  // Records one packet. O(cms_depth + log topk_capacity), allocation-free.
+  // Each sketch hashes the key once under its own seed; the count-min update
+  // hands its post-update estimate straight to the heavy-hitter filter, and
+  // the HLL sees only keys the heavy-hitter table does not already track.
   void OnPacket(const FlowKey& key, uint32_t bytes);
 
   // Estimators.

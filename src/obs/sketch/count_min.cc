@@ -20,7 +20,8 @@ uint32_t RoundUpPow2(uint32_t v) {
 
 }  // namespace
 
-CountMinSketch::CountMinSketch(CountMinConfig config) : config_(config) {
+CountMinSketch::CountMinSketch(CountMinConfig config)
+    : config_(config), hash_(DeriveSeed(config.seed, /*tag=*/0xc35)) {
   if (config_.width < 2) {
     TAICHI_ERROR(0, "cms: width %u is degenerate, clamping to 2", config_.width);
     config_.width = 2;
@@ -29,16 +30,16 @@ CountMinSketch::CountMinSketch(CountMinConfig config) : config_(config) {
     TAICHI_ERROR(0, "cms: depth %u is degenerate, clamping to 1", config_.depth);
     config_.depth = 1;
   }
-  seed_ = DeriveSeed(config_.seed, /*tag=*/0xc35);
   width_ = RoundUpPow2(config_.width);
   mask_ = width_ - 1;
   cells_.resize(static_cast<size_t>(width_) * config_.depth);
 }
 
-void CountMinSketch::Update(const HashPair& h, uint32_t bytes) {
+CountMinSketch::Estimate CountMinSketch::Update(const FlowKey& key, uint32_t bytes) {
   // Conservative update: read the current minima, then raise only the cells
   // that sit at (or below) minimum + increment. Cells inflated by other
   // flows are left alone, which is what keeps the overestimate small.
+  const HashPair h = hash_(key);
   uint64_t min_packets = UINT64_MAX;
   uint64_t min_bytes = UINT64_MAX;
   for (uint32_t row = 0; row < config_.depth; ++row) {
@@ -55,9 +56,13 @@ void CountMinSketch::Update(const HashPair& h, uint32_t bytes) {
   }
   ++total_packets_;
   total_bytes_ += bytes;
+  // Every row now holds at least the targets, and the rows that held the
+  // minima hold exactly them: the targets are the new row minima.
+  return {target_packets, target_bytes};
 }
 
-CountMinSketch::Estimate CountMinSketch::Query(const HashPair& h) const {
+CountMinSketch::Estimate CountMinSketch::Query(const FlowKey& key) const {
+  const HashPair h = hash_(key);
   Estimate est{UINT64_MAX, UINT64_MAX};
   for (uint32_t row = 0; row < config_.depth; ++row) {
     const Cell& c = cells_[CellIndex(h, row)];

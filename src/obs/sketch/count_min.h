@@ -42,17 +42,21 @@ class CountMinSketch {
     uint64_t packets = 0;
     uint64_t bytes = 0;
   };
+  struct Cell {
+    uint64_t packets = 0;
+    uint64_t bytes = 0;
+    bool operator==(const Cell&) const = default;
+  };
 
   explicit CountMinSketch(CountMinConfig config);
 
-  // Counts one packet of `bytes` for `key`. O(depth), allocation-free.
-  void Update(const FlowKey& key, uint32_t bytes) { Update(HashKey(key, seed_), bytes); }
-  // Hash-reuse variant for callers that already computed the key's pair.
-  void Update(const HashPair& h, uint32_t bytes);
+  // Counts one packet of `bytes` for `key` and returns the key's estimate
+  // after the update — what Query(key) would return next, without re-reading
+  // the cells. O(depth), allocation-free.
+  Estimate Update(const FlowKey& key, uint32_t bytes);
 
   // Point query: an upper bound on the flow's true packet/byte counts.
-  Estimate Query(const FlowKey& key) const { return Query(HashKey(key, seed_)); }
-  Estimate Query(const HashPair& h) const;
+  Estimate Query(const FlowKey& key) const;
 
   // Cell-wise addition. `other` must share (seed, width, depth); on mismatch
   // the merge is refused with a TAICHI_ERROR and *this is unchanged.
@@ -67,10 +71,12 @@ class CountMinSketch {
   double epsilon() const;
   uint32_t width() const { return width_; }
   uint32_t depth() const { return config_.depth; }
-  uint64_t seed() const { return seed_; }
+  uint64_t seed() const { return hash_.seed(); }
+  // depth rows of width cells, row-major.
+  const std::vector<Cell>& cells() const { return cells_; }
 
   bool Compatible(const CountMinSketch& other) const {
-    return seed_ == other.seed_ && width_ == other.width_ &&
+    return seed() == other.seed() && width_ == other.width_ &&
            config_.depth == other.config_.depth;
   }
 
@@ -78,18 +84,13 @@ class CountMinSketch {
   std::string ToJson() const;
 
  private:
-  struct Cell {
-    uint64_t packets = 0;
-    uint64_t bytes = 0;
-  };
-
   size_t CellIndex(const HashPair& h, uint32_t row) const {
     return static_cast<size_t>(row) * width_ +
            static_cast<size_t>((h.h1 + row * h.h2) & mask_);
   }
 
   CountMinConfig config_;
-  uint64_t seed_;
+  KeyHash hash_;
   uint32_t width_;   // Power of two.
   uint64_t mask_;    // width_ - 1.
   std::vector<Cell> cells_;  // depth rows of width cells, row-major.

@@ -9,22 +9,23 @@
 
 namespace taichi::obs::sketch {
 
-HyperLogLog::HyperLogLog(HyperLogLogConfig config) : config_(config) {
+HyperLogLog::HyperLogLog(HyperLogLogConfig config)
+    : config_(config), hash_(DeriveSeed(config.seed, /*tag=*/0x411)) {
   if (config_.precision < 4 || config_.precision > 18) {
     TAICHI_ERROR(0, "hll: precision %u out of [4, 18], clamping", config_.precision);
     config_.precision = std::clamp<uint32_t>(config_.precision, 4, 18);
   }
-  seed_ = DeriveSeed(config_.seed, /*tag=*/0x411);
   registers_.resize(size_t{1} << config_.precision, 0);
 }
 
-void HyperLogLog::Observe(const HashPair& h) {
+void HyperLogLog::Observe(const FlowKey& key) {
   // Top p bits select the register; the rank is 1 + leading zeros of the
   // remaining 64-p bits (capped by the hash width, which never binds at
   // realistic cardinalities).
+  const uint64_t h1 = hash_.H1(key);
   const int p = static_cast<int>(config_.precision);
-  const size_t reg = static_cast<size_t>(h.h1 >> (64 - p));
-  const uint64_t rest = h.h1 << p;  // The low 64-p bits, top-aligned.
+  const size_t reg = static_cast<size_t>(h1 >> (64 - p));
+  const uint64_t rest = h1 << p;  // The low 64-p bits, top-aligned.
   const int lz = rest == 0 ? 64 - p : std::countl_zero(rest);
   const uint8_t rank = static_cast<uint8_t>(std::min(64 - p, lz + 1));
   registers_[reg] = std::max(registers_[reg], rank);

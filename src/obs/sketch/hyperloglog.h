@@ -29,9 +29,8 @@ class HyperLogLog {
   explicit HyperLogLog(HyperLogLogConfig config);
 
   // Observes one flow key. O(1), allocation-free; re-observing a key is a
-  // no-op by construction.
-  void Observe(const FlowKey& key) { Observe(HashKey(key, seed_)); }
-  void Observe(const HashPair& h);
+  // no-op by construction. Reads only h1 of the key's hash pair.
+  void Observe(const FlowKey& key);
 
   // The distinct-count estimate with small-range linear counting correction.
   double Estimate() const;
@@ -44,9 +43,10 @@ class HyperLogLog {
   bool Merge(const HyperLogLog& other);
 
   uint32_t precision() const { return config_.precision; }
-  uint64_t seed() const { return seed_; }
+  uint64_t seed() const { return hash_.seed(); }
+  const std::vector<uint8_t>& registers() const { return registers_; }
   bool Compatible(const HyperLogLog& other) const {
-    return seed_ == other.seed_ && config_.precision == other.config_.precision;
+    return seed() == other.seed() && config_.precision == other.config_.precision;
   }
 
   // Deterministic JSON: precision, estimate, error bound.
@@ -54,7 +54,7 @@ class HyperLogLog {
 
  private:
   HyperLogLogConfig config_;
-  uint64_t seed_;
+  KeyHash hash_;
   std::vector<uint8_t> registers_;  // 2^precision entries.
 };
 

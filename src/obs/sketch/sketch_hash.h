@@ -28,11 +28,28 @@ struct HashPair {
   uint64_t h2;
 };
 
-inline HashPair HashKey(const FlowKey& key, uint64_t seed) {
-  const uint64_t a = Mix64(key.PackHi() ^ seed);
-  const uint64_t b = Mix64(key.PackLo() ^ Mix64(seed ^ 0xd6e8feb86659fd93ULL) ^ a);
-  return {a, b | 1};  // Odd h2: h1 + i*h2 never collapses across rows.
-}
+// The pair's hash family under one seed, with the seed-only term mixed once
+// at construction: a key then costs two mixes, and h1 alone (all HLL reads)
+// one. Sketches hold one of these instead of re-deriving it per packet.
+class KeyHash {
+ public:
+  explicit KeyHash(uint64_t seed)
+      : seed_(seed), lo_seed_(Mix64(seed ^ 0xd6e8feb86659fd93ULL)) {}
+
+  uint64_t seed() const { return seed_; }
+  uint64_t H1(const FlowKey& key) const { return Mix64(key.PackHi() ^ seed_); }
+  HashPair operator()(const FlowKey& key) const {
+    const uint64_t a = H1(key);
+    const uint64_t b = Mix64(key.PackLo() ^ lo_seed_ ^ a);
+    return {a, b | 1};  // Odd h2: h1 + i*h2 never collapses across rows.
+  }
+
+ private:
+  uint64_t seed_;
+  uint64_t lo_seed_;
+};
+
+inline HashPair HashKey(const FlowKey& key, uint64_t seed) { return KeyHash(seed)(key); }
 
 // Derives a stable sub-seed for sketch component `tag` from a base seed —
 // the "sim::Rng-derived keys" pattern: one user-visible seed fans out into

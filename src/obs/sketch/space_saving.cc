@@ -26,18 +26,18 @@ bool ReportGreater(const SpaceSaving::Entry& a, const SpaceSaving::Entry& b) {
 
 }  // namespace
 
-SpaceSaving::SpaceSaving(SpaceSavingConfig config) : config_(config) {
+SpaceSaving::SpaceSaving(SpaceSavingConfig config)
+    : config_(config), hash_(DeriveSeed(config.seed, /*tag=*/0x707)) {
   if (config_.capacity < 1) {
     TAICHI_ERROR(0, "space_saving: capacity %u is degenerate, clamping to 1",
                  config_.capacity);
     config_.capacity = 1;
   }
-  seed_ = DeriveSeed(config_.seed, /*tag=*/0x707);
   entries_.resize(config_.capacity);
+  entry_slot_.resize(config_.capacity);
   // 4x slack keeps linear probes short at full occupancy.
   const uint64_t slots = RoundUpPow2(uint64_t{4} * config_.capacity);
-  index_keys_.resize(slots);
-  index_pos_.assign(slots, kEmpty);
+  index_.resize(slots);
   index_mask_ = slots - 1;
 }
 
@@ -48,59 +48,48 @@ bool SpaceSaving::HeapLess(const Entry& a, const Entry& b) const {
   return a.key < b.key;
 }
 
-size_t SpaceSaving::IndexSlot(const FlowKey& key) const {
-  return static_cast<size_t>(HashKey(key, seed_).h2 & index_mask_);
+uint32_t SpaceSaving::Home(const FlowKey& key) const {
+  return static_cast<uint32_t>(hash_(key).h2 & index_mask_);
 }
 
-uint32_t* SpaceSaving::IndexFind(const FlowKey& key) {
-  size_t slot = IndexSlot(key);
-  while (index_pos_[slot] != kEmpty) {
-    if (index_keys_[slot] == key) {
-      return &index_pos_[slot];
-    }
+void SpaceSaving::IndexInsert(const FlowKey& key, uint32_t home, uint32_t pos) {
+  size_t slot = home;
+  while (index_[slot].pos != kEmpty) {
     slot = (slot + 1) & index_mask_;
   }
-  return nullptr;
+  index_[slot] = Slot{key, pos, home};
+  entry_slot_[pos] = static_cast<uint32_t>(slot);
 }
 
-void SpaceSaving::IndexInsert(const FlowKey& key, uint32_t pos) {
-  size_t slot = IndexSlot(key);
-  while (index_pos_[slot] != kEmpty) {
-    slot = (slot + 1) & index_mask_;
-  }
-  index_keys_[slot] = key;
-  index_pos_[slot] = pos;
-}
-
-void SpaceSaving::IndexErase(const FlowKey& key) {
-  size_t slot = IndexSlot(key);
-  while (index_pos_[slot] != kEmpty && !(index_keys_[slot] == key)) {
-    slot = (slot + 1) & index_mask_;
-  }
-  if (index_pos_[slot] == kEmpty) {
-    return;  // Not present (cannot happen for live entries).
-  }
+void SpaceSaving::IndexErase(size_t slot) {
   // Backward-shift deletion keeps probe chains unbroken without tombstones.
   size_t hole = slot;
-  index_pos_[hole] = kEmpty;
+  index_[hole].pos = kEmpty;
   size_t j = hole;
   for (;;) {
     j = (j + 1) & index_mask_;
-    if (index_pos_[j] == kEmpty) {
+    if (index_[j].pos == kEmpty) {
       return;
     }
-    const size_t ideal = IndexSlot(index_keys_[j]);
+    const size_t ideal = index_[j].home;
     // Move j into the hole unless j's probe chain starts after the hole
     // (cyclic interval check: ideal in (hole, j] means it must stay).
     const bool stays = hole <= j ? (ideal > hole && ideal <= j)
                                  : (ideal > hole || ideal <= j);
     if (!stays) {
-      index_keys_[hole] = index_keys_[j];
-      index_pos_[hole] = index_pos_[j];
-      index_pos_[j] = kEmpty;
+      index_[hole] = index_[j];
+      entry_slot_[index_[hole].pos] = static_cast<uint32_t>(hole);
+      index_[j].pos = kEmpty;
       hole = j;
     }
   }
+}
+
+void SpaceSaving::Swap(size_t a, size_t b) {
+  std::swap(entries_[a], entries_[b]);
+  std::swap(entry_slot_[a], entry_slot_[b]);
+  index_[entry_slot_[a]].pos = static_cast<uint32_t>(a);
+  index_[entry_slot_[b]].pos = static_cast<uint32_t>(b);
 }
 
 void SpaceSaving::SiftUp(size_t pos) {
@@ -109,9 +98,7 @@ void SpaceSaving::SiftUp(size_t pos) {
     if (!HeapLess(entries_[pos], entries_[parent])) {
       break;
     }
-    std::swap(entries_[pos], entries_[parent]);
-    *IndexFind(entries_[pos].key) = static_cast<uint32_t>(pos);
-    *IndexFind(entries_[parent].key) = static_cast<uint32_t>(parent);
+    Swap(pos, parent);
     pos = parent;
   }
 }
@@ -130,40 +117,43 @@ void SpaceSaving::SiftDown(size_t pos) {
     if (!HeapLess(entries_[best], entries_[pos])) {
       break;
     }
-    std::swap(entries_[pos], entries_[best]);
-    *IndexFind(entries_[pos].key) = static_cast<uint32_t>(pos);
-    *IndexFind(entries_[best].key) = static_cast<uint32_t>(best);
+    Swap(pos, best);
     pos = best;
   }
 }
 
-void SpaceSaving::Update(const FlowKey& key, const HashPair& /*h*/, uint32_t bytes,
-                         uint64_t est_bytes, uint64_t est_packets) {
-  if (uint32_t* pos = IndexFind(key); pos != nullptr) {
-    Entry& e = entries_[*pos];
-    e.bytes += bytes;
-    e.packets += 1;
-    SiftDown(*pos);  // Counts only grow: the entry can only move down.
-    return;
+bool SpaceSaving::Update(const FlowKey& key, uint32_t bytes, uint64_t est_bytes,
+                         uint64_t est_packets) {
+  const uint32_t home = Home(key);
+  for (size_t slot = home; index_[slot].pos != kEmpty; slot = (slot + 1) & index_mask_) {
+    if (index_[slot].key == key) {
+      const uint32_t pos = index_[slot].pos;
+      Entry& e = entries_[pos];
+      e.bytes += bytes;
+      e.packets += 1;
+      SiftDown(pos);  // Counts only grow: the entry can only move down.
+      return true;
+    }
   }
   if (live_ < config_.capacity) {
     const size_t pos = live_++;
     entries_[pos] = Entry{key, est_bytes, est_packets, est_bytes - bytes};
-    IndexInsert(key, static_cast<uint32_t>(pos));
+    IndexInsert(key, home, static_cast<uint32_t>(pos));
     SiftUp(pos);
-    return;
+    return false;
   }
   // Full table: admit only with sketch-evidence of outweighing the current
   // minimum — the O(1) bounce that keeps mouse flows off the eviction path.
   Entry& min = entries_[0];
   if (est_bytes <= min.bytes) {
-    return;
+    return false;
   }
   ++evictions_;
-  IndexErase(min.key);
+  IndexErase(entry_slot_[0]);
   min = Entry{key, est_bytes, est_packets, est_bytes - bytes};
-  IndexInsert(key, 0);
+  IndexInsert(key, home, 0);
   SiftDown(0);
+  return false;
 }
 
 std::vector<SpaceSaving::Entry> SpaceSaving::TopK(size_t k) const {
@@ -176,12 +166,14 @@ std::vector<SpaceSaving::Entry> SpaceSaving::TopK(size_t k) const {
 }
 
 void SpaceSaving::Rebuild(std::vector<Entry> entries) {
-  std::fill(index_pos_.begin(), index_pos_.end(), kEmpty);
+  for (Slot& slot : index_) {
+    slot.pos = kEmpty;
+  }
   live_ = 0;
   for (Entry& e : entries) {
     const size_t pos = live_++;
     entries_[pos] = e;
-    IndexInsert(e.key, static_cast<uint32_t>(pos));
+    IndexInsert(e.key, Home(e.key), static_cast<uint32_t>(pos));
     SiftUp(pos);
   }
 }

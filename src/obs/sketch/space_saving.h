@@ -49,9 +49,11 @@ class SpaceSaving {
 
   // Records `bytes` for `key`. `est_bytes`/`est_packets` are the flow's
   // current count-min estimates (including this packet); they seed the entry
-  // on admission and gate eviction. Allocation-free.
-  void Update(const FlowKey& key, const HashPair& h, uint32_t bytes,
-              uint64_t est_bytes, uint64_t est_packets);
+  // on admission and gate eviction. Returns true if the key was already
+  // tracked (its entry grew), false if it was admitted or bounced. Hashes the
+  // key once; allocation-free.
+  bool Update(const FlowKey& key, uint32_t bytes, uint64_t est_bytes,
+              uint64_t est_packets);
 
   // The top `k` tracked flows by bytes, descending, ties by key order.
   // Control-plane only (allocates the result vector).
@@ -59,13 +61,13 @@ class SpaceSaving {
 
   size_t tracked() const { return live_; }
   uint32_t capacity() const { return config_.capacity; }
-  uint64_t seed() const { return seed_; }
+  uint64_t seed() const { return hash_.seed(); }
   // Total misses that displaced a live entry — when zero, the table is an
   // exact per-flow account of every key it admitted (merge is lossless).
   uint64_t evictions() const { return evictions_; }
 
   bool Compatible(const SpaceSaving& other) const {
-    return seed_ == other.seed_ && config_.capacity == other.config_.capacity;
+    return seed() == other.seed() && config_.capacity == other.config_.capacity;
   }
 
   // Union-and-truncate as described above. `other` must share
@@ -76,24 +78,34 @@ class SpaceSaving {
  private:
   static constexpr uint32_t kEmpty = UINT32_MAX;
 
+  // One open-addressed index slot: a key, its entry's heap position (kEmpty
+  // when the slot is free) and its home slot, where the key's probe chain
+  // starts. With the home stored and each entry pointing back at its slot,
+  // sifts and deletions move index records without re-hashing any key.
+  struct Slot {
+    FlowKey key;
+    uint32_t pos = kEmpty;
+    uint32_t home = 0;
+  };
+
   // Entries live in heap order: entries_[0] is the minimum by (bytes, key).
   // index_ is open-addressed (linear probing, backward-shift deletion) from
   // key hash to entry position, kept in sync with every sift.
   bool HeapLess(const Entry& a, const Entry& b) const;
+  void Swap(size_t a, size_t b);
   void SiftUp(size_t pos);
   void SiftDown(size_t pos);
-  void IndexInsert(const FlowKey& key, uint32_t pos);
-  void IndexErase(const FlowKey& key);
-  uint32_t* IndexFind(const FlowKey& key);
-  size_t IndexSlot(const FlowKey& key) const;
+  uint32_t Home(const FlowKey& key) const;
+  void IndexInsert(const FlowKey& key, uint32_t home, uint32_t pos);
+  void IndexErase(size_t slot);
   void Rebuild(std::vector<Entry> entries);
 
   SpaceSavingConfig config_;
-  uint64_t seed_;
-  std::vector<Entry> entries_;  // Min-heap by (bytes, key); first live_ used.
+  KeyHash hash_;
+  std::vector<Entry> entries_;        // Min-heap by (bytes, key); first live_ used.
+  std::vector<uint32_t> entry_slot_;  // Index slot of each entry (back-pointer).
   size_t live_ = 0;
-  std::vector<FlowKey> index_keys_;  // Open-addressed: key per slot.
-  std::vector<uint32_t> index_pos_;  // Entry position per slot, kEmpty if free.
+  std::vector<Slot> index_;
   uint64_t index_mask_ = 0;
   uint64_t evictions_ = 0;
 };

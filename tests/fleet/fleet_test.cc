@@ -2,6 +2,9 @@
 // runtime enable/disable, and fleet metric aggregation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "src/fleet/cluster.h"
 #include "src/fleet/load_gen.h"
 #include "src/fleet/placer.h"
@@ -250,6 +253,61 @@ TEST(Cluster, FlowTelemetryFlowsThroughPacketPath) {
   }
   EXPECT_EQ(cluster.MergedFlowMonitor(fleet::Cluster::FlowTap::kRx).total_packets(), rx_sum);
   EXPECT_EQ(cluster.MergedFlowMonitor(fleet::Cluster::FlowTap::kDp).total_packets(), dp_sum);
+}
+
+// Packet conservation per node: every packet a background source offered
+// was delivered to its VM, shed at the RX ring or the packet arena, or is
+// still in the arena (in the pipeline, a ring, a DP burst or the PCIe leg).
+// Returns offered minus accounted-for.
+int64_t LedgerImbalance(fleet::Cluster& cluster, size_t node) {
+  const obs::MetricsSnapshot snap = cluster.observability(node).metrics.Snapshot(cluster.Now());
+  auto ends_with = [](const std::string& s, const std::string& tail) {
+    return s.size() >= tail.size() && s.compare(s.size() - tail.size(), tail.size(), tail) == 0;
+  };
+  int64_t injected = 0, delivered = 0;
+  for (const obs::MetricSample& m : snap.samples) {
+    if (m.name.rfind("src", 0) != 0) {
+      continue;
+    }
+    if (ends_with(m.name, ".injected")) {
+      injected += static_cast<int64_t>(m.count);
+    } else if (ends_with(m.name, ".delivered")) {
+      delivered += static_cast<int64_t>(m.count);
+    }
+  }
+  const int64_t drops = static_cast<int64_t>(snap.Find("rx.ring_drops")->count +
+                                             snap.Find("rx.pool_drops")->count);
+  const int64_t in_use = static_cast<int64_t>(cluster.node(node).machine().pool().in_use());
+  EXPECT_GT(injected, 0) << "node " << node;
+  return injected - (delivered + drops + in_use);
+}
+
+TEST(Cluster, BackgroundPacketsAreConservedEveryEpoch) {
+  for (int threads : {1, 4}) {
+    fleet::ClusterConfig cfg = SmallCluster(4, 17);
+    cfg.threads = threads;
+    fleet::Cluster cluster(cfg);
+    fleet::LoadGenConfig lcfg;  // The Fig. 3 mix, DP traffic only.
+    lcfg.seed = 17;
+    lcfg.vm_arrivals = false;
+    fleet::LoadGen load(&cluster, lcfg);
+    load.Start();
+    int epochs = 0;
+    cluster.AddEpochHook([&](sim::SimTime) {
+      ++epochs;
+      for (size_t i = 0; i < cluster.size(); ++i) {
+        EXPECT_EQ(LedgerImbalance(cluster, i), 0) << "node " << i << " epoch " << epochs;
+      }
+    });
+    cluster.RunFor(sim::Millis(40));
+    EXPECT_EQ(epochs, 20);
+    load.Stop();
+    cluster.RunFor(sim::Millis(1));  // Drain what is still in flight.
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      EXPECT_EQ(cluster.node(i).machine().pool().in_use(), 0u) << "node " << i;
+      EXPECT_EQ(LedgerImbalance(cluster, i), 0) << "node " << i;
+    }
+  }
 }
 
 // --- SLO monitor ---------------------------------------------------------

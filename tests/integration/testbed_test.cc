@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/exp/runners.h"
 #include "src/exp/testbed.h"
@@ -169,6 +171,60 @@ TEST(TestbedTest, SetDpBoostRoundTripNarrowsAndWidensCpAffinity) {
   bed.sim().RunFor(sim::Millis(5));  // The drain completes.
   EXPECT_FALSE(bed.taichi_draining());
   EXPECT_FALSE(bed.taichi_enabled());
+}
+
+TEST(TestbedTest, MixedBurstKeepsPerPacketDeliveryOrder) {
+  // One DP burst [rx1 rx2 tx3 rx4 blk5 rx6 rx7]. With one PCIe delivery
+  // event per kNetRx packet, all scheduled at T = completion + pcie_dma_cost
+  // in burst order, T runs rx1 rx2 rx4, then the marker blk5's storage sink
+  // scheduled for T (after rx4's event, before rx6's), then rx6 rx7; events
+  // the VM sink schedules for T run after all of them. The wire sink gets
+  // tx3 after serialization and wire latency. Every handle is freed.
+  Testbed bed(BaseConfig(Mode::kBaseline));
+  constexpr uint16_t kOwner = 7;
+  std::vector<std::string> log;
+  std::vector<sim::SimTime> vm_times;
+  sim::SimTime completed = -1;
+  bed.RegisterVmSink(kOwner, [&](const hw::IoPacket& pkt, sim::SimTime t) {
+    log.push_back("rx" + std::to_string(pkt.id));
+    vm_times.push_back(t);
+    bed.sim().Schedule(0, [&log, id = pkt.id] { log.push_back("after" + std::to_string(id)); });
+  });
+  bed.RegisterStorageSink(kOwner, [&](const hw::IoPacket& pkt, sim::SimTime t) {
+    log.push_back("blk" + std::to_string(pkt.id));
+    completed = t;
+    bed.sim().Schedule(bed.config().pcie_dma_cost, [&log] { log.push_back("marker"); });
+  });
+  bed.RegisterWireSink(kOwner, [&](const hw::IoPacket& pkt, sim::SimTime) {
+    log.push_back("tx" + std::to_string(pkt.id));
+  });
+
+  const hw::IoKind kinds[] = {hw::IoKind::kNetRx, hw::IoKind::kNetRx, hw::IoKind::kNetTx,
+                              hw::IoKind::kNetRx, hw::IoKind::kBlockIo, hw::IoKind::kNetRx,
+                              hw::IoKind::kNetRx};
+  const uint32_t queue = bed.queue_for_flow(0);
+  for (uint64_t id = 1; id <= 7; ++id) {
+    hw::IoPacket pkt;
+    pkt.id = id;
+    pkt.kind = kinds[id - 1];
+    pkt.queue = queue;
+    pkt.user_tag = Testbed::Tag(kOwner, id);
+    const sim::PacketHandle h = bed.machine().pool().Alloc(pkt);
+    ASSERT_NE(h, sim::kInvalidPacketHandle);
+    // Straight onto the ring before the service first polls: one burst.
+    ASSERT_TRUE(bed.machine().accelerator().ring(queue).Push(h));
+  }
+  bed.sim().RunFor(sim::Millis(1));
+
+  EXPECT_EQ(bed.service(0).packets_processed(), 7u);
+  EXPECT_EQ(log, (std::vector<std::string>{"blk5", "rx1", "rx2", "rx4", "marker", "rx6", "rx7",
+                                           "after1", "after2", "after4", "after6", "after7",
+                                           "tx3"}));
+  ASSERT_GE(completed, 0);
+  for (sim::SimTime t : vm_times) {
+    EXPECT_EQ(t, completed + bed.config().pcie_dma_cost);
+  }
+  EXPECT_EQ(bed.machine().pool().in_use(), 0u);
 }
 
 }  // namespace

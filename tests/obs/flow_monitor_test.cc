@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -189,6 +190,250 @@ TEST(FlowMonitor, ToJsonNamesHeavyFlows) {
   EXPECT_NE(json.find(Key(7).ToString()), std::string::npos) << json;
   EXPECT_NE(json.find("\"cms\": "), std::string::npos);
   EXPECT_NE(json.find("\"hll\": "), std::string::npos);
+}
+
+// The tap as it was before it learned to skip work: a fresh HashKey per
+// sketch and per index probe, a count-min Query after every update, a
+// heavy-hitter index that re-hashes both keys on every heap swap and
+// backward shift, and an HLL observation on every packet. FlowMonitor must
+// leave exactly the state this reference leaves.
+class ReferenceMonitor {
+ public:
+  using Cell = sketch::CountMinSketch::Cell;
+  using Entry = sketch::SpaceSaving::Entry;
+
+  explicit ReferenceMonitor(const FlowMonitor& shape)
+      : cms_seed_(shape.cms().seed()),
+        width_(shape.cms().width()),
+        depth_(shape.cms().depth()),
+        cells_(size_t{width_} * depth_),
+        hll_seed_(shape.hll().seed()),
+        precision_(static_cast<int>(shape.hll().precision())),
+        registers_(size_t{1} << precision_),
+        ss_seed_(shape.topk().seed()),
+        capacity_(shape.topk().capacity()),
+        entries_(capacity_),
+        index_keys_(std::bit_ceil(size_t{4} * capacity_)),
+        index_pos_(index_keys_.size(), kEmpty),
+        mask_(index_keys_.size() - 1) {}
+
+  void OnPacket(const FlowKey& key, uint32_t bytes) {
+    const sketch::HashPair h = sketch::HashKey(key, cms_seed_);
+    uint64_t min_packets = UINT64_MAX, min_bytes = UINT64_MAX;
+    for (uint32_t row = 0; row < depth_; ++row) {
+      min_packets = std::min(min_packets, cells_[CellIndex(h, row)].packets);
+      min_bytes = std::min(min_bytes, cells_[CellIndex(h, row)].bytes);
+    }
+    for (uint32_t row = 0; row < depth_; ++row) {
+      Cell& c = cells_[CellIndex(h, row)];
+      c.packets = std::max(c.packets, min_packets + 1);
+      c.bytes = std::max(c.bytes, min_bytes + bytes);
+    }
+    uint64_t est_packets = UINT64_MAX, est_bytes = UINT64_MAX;
+    for (uint32_t row = 0; row < depth_; ++row) {
+      est_packets = std::min(est_packets, cells_[CellIndex(h, row)].packets);
+      est_bytes = std::min(est_bytes, cells_[CellIndex(h, row)].bytes);
+    }
+    TopkUpdate(key, bytes, est_bytes, est_packets);
+    const uint64_t h1 = sketch::HashKey(key, hll_seed_).h1;
+    const size_t reg = static_cast<size_t>(h1 >> (64 - precision_));
+    const uint64_t rest = h1 << precision_;
+    const int lz = rest == 0 ? 64 - precision_ : std::countl_zero(rest);
+    const uint8_t rank = static_cast<uint8_t>(std::min(64 - precision_, lz + 1));
+    registers_[reg] = std::max(registers_[reg], rank);
+  }
+
+  void Merge(const ReferenceMonitor& other) {
+    for (size_t i = 0; i < cells_.size(); ++i) {
+      cells_[i].packets += other.cells_[i].packets;
+      cells_[i].bytes += other.cells_[i].bytes;
+    }
+    for (size_t i = 0; i < registers_.size(); ++i) {
+      registers_[i] = std::max(registers_[i], other.registers_[i]);
+    }
+    std::vector<Entry> merged(entries_.begin(), entries_.begin() + live_);
+    for (size_t i = 0; i < other.live_; ++i) {
+      const Entry& oe = other.entries_[i];
+      auto it = std::find_if(merged.begin(), merged.end(),
+                             [&](const Entry& e) { return e.key == oe.key; });
+      if (it == merged.end()) {
+        merged.push_back(oe);
+      } else {
+        it->bytes += oe.bytes;
+        it->packets += oe.packets;
+        it->error += oe.error;
+      }
+    }
+    std::sort(merged.begin(), merged.end(), ReportGreater);
+    evictions_ += other.evictions_;
+    if (merged.size() > capacity_) {
+      evictions_ += merged.size() - capacity_;
+      merged.resize(capacity_);
+    }
+    std::fill(index_pos_.begin(), index_pos_.end(), kEmpty);
+    live_ = 0;
+    for (const Entry& e : merged) {
+      entries_[live_] = e;
+      IndexInsert(e.key, static_cast<uint32_t>(live_));
+      SiftUp(live_++);
+    }
+  }
+
+  // Asserts `monitor` holds exactly this reference's state.
+  void ExpectSameAs(const FlowMonitor& monitor) const {
+    EXPECT_TRUE(monitor.cms().cells() == cells_) << "count-min cells differ";
+    EXPECT_TRUE(monitor.hll().registers() == registers_) << "HLL registers differ";
+    EXPECT_EQ(monitor.topk().evictions(), evictions_);
+    std::vector<Entry> want(entries_.begin(), entries_.begin() + live_);
+    std::sort(want.begin(), want.end(), ReportGreater);
+    const std::vector<Entry> got = monitor.TopK(capacity_);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].key, want[i].key) << i;
+      EXPECT_EQ(got[i].bytes, want[i].bytes) << i;
+      EXPECT_EQ(got[i].packets, want[i].packets) << i;
+      EXPECT_EQ(got[i].error, want[i].error) << i;
+    }
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  static bool ReportGreater(const Entry& a, const Entry& b) {
+    return a.bytes != b.bytes ? a.bytes > b.bytes : a.key < b.key;
+  }
+  static bool HeapLess(const Entry& a, const Entry& b) {
+    return a.bytes != b.bytes ? a.bytes < b.bytes : a.key < b.key;
+  }
+  size_t CellIndex(const sketch::HashPair& h, uint32_t row) const {
+    return size_t{row} * width_ + static_cast<size_t>((h.h1 + row * h.h2) & (width_ - 1));
+  }
+  size_t IndexSlot(const FlowKey& key) const {
+    return static_cast<size_t>(sketch::HashKey(key, ss_seed_).h2 & mask_);
+  }
+  uint32_t* IndexFind(const FlowKey& key) {
+    for (size_t slot = IndexSlot(key); index_pos_[slot] != kEmpty; slot = (slot + 1) & mask_) {
+      if (index_keys_[slot] == key) {
+        return &index_pos_[slot];
+      }
+    }
+    return nullptr;
+  }
+  void IndexInsert(const FlowKey& key, uint32_t pos) {
+    size_t slot = IndexSlot(key);
+    while (index_pos_[slot] != kEmpty) {
+      slot = (slot + 1) & mask_;
+    }
+    index_keys_[slot] = key;
+    index_pos_[slot] = pos;
+  }
+  void IndexErase(const FlowKey& key) {
+    size_t hole = IndexSlot(key);
+    while (index_pos_[hole] != kEmpty && !(index_keys_[hole] == key)) {
+      hole = (hole + 1) & mask_;
+    }
+    index_pos_[hole] = kEmpty;
+    for (size_t j = (hole + 1) & mask_; index_pos_[j] != kEmpty; j = (j + 1) & mask_) {
+      const size_t ideal = IndexSlot(index_keys_[j]);
+      const bool stays = hole <= j ? (ideal > hole && ideal <= j) : (ideal > hole || ideal <= j);
+      if (!stays) {
+        index_keys_[hole] = index_keys_[j];
+        index_pos_[hole] = index_pos_[j];
+        index_pos_[j] = kEmpty;
+        hole = j;
+      }
+    }
+  }
+  void Swap(size_t a, size_t b) {
+    std::swap(entries_[a], entries_[b]);
+    *IndexFind(entries_[a].key) = static_cast<uint32_t>(a);
+    *IndexFind(entries_[b].key) = static_cast<uint32_t>(b);
+  }
+  void SiftUp(size_t pos) {
+    for (; pos > 0 && HeapLess(entries_[pos], entries_[(pos - 1) / 2]); pos = (pos - 1) / 2) {
+      Swap(pos, (pos - 1) / 2);
+    }
+  }
+  void SiftDown(size_t pos) {
+    for (size_t l = pos * 2 + 1; l < live_; l = pos * 2 + 1) {
+      const size_t best = l + 1 < live_ && HeapLess(entries_[l + 1], entries_[l]) ? l + 1 : l;
+      if (!HeapLess(entries_[best], entries_[pos])) {
+        break;
+      }
+      Swap(pos, best);
+      pos = best;
+    }
+  }
+  void TopkUpdate(const FlowKey& key, uint32_t bytes, uint64_t est_bytes,
+                  uint64_t est_packets) {
+    if (uint32_t* pos = IndexFind(key); pos != nullptr) {
+      entries_[*pos].bytes += bytes;
+      entries_[*pos].packets += 1;
+      SiftDown(*pos);
+      return;
+    }
+    if (live_ < capacity_) {
+      entries_[live_] = Entry{key, est_bytes, est_packets, est_bytes - bytes};
+      IndexInsert(key, static_cast<uint32_t>(live_));
+      SiftUp(live_++);
+      return;
+    }
+    if (est_bytes <= entries_[0].bytes) {
+      return;
+    }
+    ++evictions_;
+    IndexErase(entries_[0].key);
+    entries_[0] = Entry{key, est_bytes, est_packets, est_bytes - bytes};
+    IndexInsert(key, 0);
+    SiftDown(0);
+  }
+
+  uint64_t cms_seed_;
+  uint32_t width_;
+  uint32_t depth_;
+  std::vector<Cell> cells_;
+  uint64_t hll_seed_;
+  int precision_;
+  std::vector<uint8_t> registers_;
+  uint64_t ss_seed_;
+  uint32_t capacity_;
+  std::vector<Entry> entries_;
+  size_t live_ = 0;
+  std::vector<FlowKey> index_keys_;
+  std::vector<uint32_t> index_pos_;
+  size_t mask_;
+  uint64_t evictions_ = 0;
+};
+
+TEST(FlowMonitor, MatchesReferenceTapUnderEvictionsAndMerges) {
+  // A small heavy-hitter table under a long Zipf tail keeps the eviction and
+  // backward-shift paths busy; merging B into A every 10k packets brings in
+  // tracked keys A's own taps never admitted.
+  FlowMonitorConfig cfg;
+  cfg.cms_width = 256;
+  cfg.hll_precision = 10;
+  cfg.topk_capacity = 16;
+  FlowMonitor a(cfg), b(cfg);
+  ReferenceMonitor ref_a(a), ref_b(b);
+  for (uint64_t n = 1; n <= 60000; ++n) {
+    const FlowKey k = Key(FlowOf(n, 3000, 1.1));
+    const uint32_t bytes = 64 + static_cast<uint32_t>(sketch::Mix64(n) % 1400);
+    if (n % 3 == 0) {
+      b.OnPacket(k, bytes);
+      ref_b.OnPacket(k, bytes);
+    } else {
+      a.OnPacket(k, bytes);
+      ref_a.OnPacket(k, bytes);
+    }
+    if (n % 10000 == 0) {
+      ASSERT_TRUE(a.Merge(b));
+      ref_a.Merge(ref_b);
+      ref_a.ExpectSameAs(a);
+    }
+  }
+  ref_a.ExpectSameAs(a);
+  ref_b.ExpectSameAs(b);
+  EXPECT_GT(b.topk().evictions(), 100u);
 }
 
 }  // namespace

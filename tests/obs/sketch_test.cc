@@ -16,7 +16,6 @@ namespace {
 
 using sketch::CountMinConfig;
 using sketch::CountMinSketch;
-using sketch::HashKey;
 using sketch::HyperLogLog;
 using sketch::HyperLogLogConfig;
 using sketch::SpaceSaving;
@@ -181,7 +180,7 @@ TEST(Hll, MergeRefusesIncompatiblePrecision) {
 // regime the admission filter sees when the CMS is uncollided.
 void FeedExact(SpaceSaving& ss, const FlowKey& key, uint32_t bytes,
                uint64_t true_bytes, uint64_t true_packets) {
-  ss.Update(key, HashKey(key, ss.seed()), bytes, true_bytes, true_packets);
+  ss.Update(key, bytes, true_bytes, true_packets);
 }
 
 TEST(SpaceSaving, ExactUnderCapacity) {
