@@ -21,15 +21,15 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::RunShards(FunctionRef<void(size_t)> fn, size_t n, int self) {
+void ThreadPool::RunShards(FunctionRef<void(size_t)> fn, size_t n, int stripe) {
   const size_t stride = static_cast<size_t>(threads_);
   // d == 0: level-1 — drain the stripe this participant owns (indices
-  // self, self + T, ...) off its private cursor. d > 0: the stripe is dry;
-  // steal whole indices from the d-th neighbour's cursor. A claim that
+  // stripe, stripe + T, ...) off its private cursor. d > 0: the stripe is
+  // dry; steal whole indices from the d-th neighbour's cursor. A claim that
   // lands past the stripe end is a bounded no-op (at most one per visitor
   // per queue), not a lost index.
   for (int d = 0; d < threads_; ++d) {
-    const size_t q = static_cast<size_t>((self + d) % threads_);
+    const size_t q = static_cast<size_t>((stripe + d) % threads_);
     std::atomic<uint32_t>& cursor = cursors_[q].next;
     for (;;) {
       const size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -47,6 +47,7 @@ void ThreadPool::WorkerLoop(int self) {
   for (;;) {
     FunctionRef<void(size_t)> fn;
     size_t n;
+    int stripe;
     {
       std::unique_lock<std::mutex> lock(mu_);
       start_cv_.wait(lock, [this, seen_gen] { return shutdown_ || job_gen_ != seen_gen; });
@@ -56,8 +57,9 @@ void ThreadPool::WorkerLoop(int self) {
       seen_gen = job_gen_;
       fn = job_;
       n = job_n_;
+      stripe = (self + job_shift_) % threads_;
     }
-    RunShards(fn, n, self);
+    RunShards(fn, n, stripe);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--unfinished_ == 0) {
@@ -74,6 +76,7 @@ void ThreadPool::ParallelFor(size_t n, FunctionRef<void(size_t)> fn) {
     }
     return;
   }
+  int stripe;
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_ = fn;
@@ -82,10 +85,12 @@ void ThreadPool::ParallelFor(size_t n, FunctionRef<void(size_t)> fn) {
       cursors_[i].next.store(0, std::memory_order_relaxed);
     }
     unfinished_ = workers_.size();
+    job_shift_ = static_cast<int>(job_gen_ / kRotatePeriod % static_cast<uint64_t>(threads_));
     ++job_gen_;
+    stripe = job_shift_;  // The caller is participant 0.
   }
   start_cv_.notify_all();
-  RunShards(fn, n, 0);
+  RunShards(fn, n, stripe);
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] { return unfinished_ == 0; });
   job_ = FunctionRef<void(size_t)>();

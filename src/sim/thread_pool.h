@@ -10,13 +10,23 @@
 // same-seed cluster runs reproducible at any --threads value.
 //
 // Dispatch is sharded: every participant (the caller plus each worker) owns
-// the stripe of indices congruent to its id mod threads() and claims them
-// off a per-participant cursor — its own cache line, uncontended in the
+// one stripe of indices, those congruent to some s mod threads(), and claims
+// them off that stripe's cursor — its own cache line, uncontended in the
 // common case. Only after its own stripe is dry does a participant steal
-// from siblings' cursors, nearest first. That splits the barrier into two
-// levels — drain-your-shard, then fleet-wide completion — and removes the
-// single shared fetch_add that every claim bounced across sockets at
-// 10k-node fleets.
+// from the other stripes' cursors, nearest first. That splits the barrier
+// into two levels — drain-your-shard, then fleet-wide completion — and
+// removes the single shared fetch_add that every claim bounced across
+// sockets at 10k-node fleets.
+//
+// Stripe ownership rotates by one participant every kRotatePeriod calls.
+// The fleet calls ParallelFor once per epoch, and a hot node sits at the same
+// index every time. Its stripe's owner runs it first, so with a fixed owner
+// one thread would run it on every call, and the run's wall time would
+// follow the speed of whichever core that thread sits on (cores of a shared
+// host differ for seconds at a time). Rotation hands the hot index to each
+// participant in turn, so its cost averages over the pool's cores. Each
+// owner keeps a stripe for several consecutive calls, so a node's working
+// set is not moved to another core's cache on every call.
 #ifndef SRC_SIM_THREAD_POOL_H_
 #define SRC_SIM_THREAD_POOL_H_
 
@@ -42,6 +52,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  // Consecutive ParallelFor calls in which each participant keeps its
+  // stripe before ownership shifts by one participant.
+  static constexpr uint64_t kRotatePeriod = 8;
+
   int threads() const { return threads_; }
 
   // Runs fn(i) for every i in [0, n) across the pool and blocks until all
@@ -60,8 +74,9 @@ class ThreadPool {
   // `self` is the participant id: the caller is 0, the k-th spawned worker
   // is k + 1.
   void WorkerLoop(int self);
-  // Drains own stripe, then steals from siblings (level-1 of the barrier).
-  void RunShards(FunctionRef<void(size_t)> fn, size_t n, int self);
+  // Drains `stripe`, the participant's own in this call, then steals from
+  // the other stripes (level-1 of the barrier).
+  void RunShards(FunctionRef<void(size_t)> fn, size_t n, int stripe);
 
   int threads_;
   std::vector<std::thread> workers_;
@@ -73,6 +88,7 @@ class ThreadPool {
   FunctionRef<void(size_t)> job_;  // Guarded by mu_.
   size_t job_n_ = 0;               // Guarded by mu_.
   uint64_t job_gen_ = 0;           // Guarded by mu_.
+  int job_shift_ = 0;              // Guarded by mu_: participant p owns stripe (p + shift) % T.
   size_t unfinished_ = 0;          // Guarded by mu_.
   bool shutdown_ = false;          // Guarded by mu_.
 };

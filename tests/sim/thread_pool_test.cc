@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace taichi::sim {
@@ -114,6 +115,30 @@ TEST(ThreadPoolTest, StealingDrainsAnUnbalancedJob) {
   });
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPoolTest, StripeOwnershipRotatesEveryPeriod) {
+  // Each fn(i) waits until both indices have started, so neither
+  // participant can steal: each runs exactly the index of the stripe it owns
+  // in that call. Index 0 (a fleet's hot node) must run on the caller for
+  // kRotatePeriod calls, then on the worker for the next kRotatePeriod.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_by(2);
+  std::atomic<int> started{0};
+  for (uint64_t call = 0; call < 4 * ThreadPool::kRotatePeriod; ++call) {
+    started.store(0);
+    pool.ParallelFor(2, [&](size_t i) {
+      ran_by[i] = std::this_thread::get_id();
+      started.fetch_add(1);
+      while (started.load() < 2) {
+        std::this_thread::yield();
+      }
+    });
+    const bool caller_owns_stripe0 = call / ThreadPool::kRotatePeriod % 2 == 0;
+    ASSERT_EQ(ran_by[0] == caller, caller_owns_stripe0) << "call " << call;
+    ASSERT_NE(ran_by[0], ran_by[1]) << "call " << call;
   }
 }
 
