@@ -54,6 +54,22 @@ inline std::string Pct(double value, double reference) {
   return buf;
 }
 
+// The Fig. 12 / Fig. 13 paper shape, from each mechanism's change against the
+// static-partition baseline in percent: Tai Chi within 1%, Tai Chi-vDP in
+// [-12%, -3%] and type-2 in [-32%, -18%] (paper: -0.2% / -8% / -26% for
+// CPS, -0.06% / -6% / -25.7% for IOPS). Prints the verdict on stderr, so
+// stdout stays the figure alone, and returns whether the shape holds.
+inline bool MechanismShapeHolds(const char* metric, double taichi_pct, double vdp_pct,
+                                double type2_pct) {
+  const bool ok = std::abs(taichi_pct) <= 1.0 && vdp_pct >= -12.0 && vdp_pct <= -3.0 &&
+                  type2_pct >= -32.0 && type2_pct <= -18.0;
+  std::fprintf(stderr,
+               "%s: %s vs baseline: Tai Chi within 1%%, vDP in [-12%%, -3%%], type-2 in "
+               "[-32%%, -18%%]\n",
+               ok ? "PASS" : "SHAPE MISMATCH", metric);
+  return ok;
+}
+
 // Machine-readable bench output. Every harness constructs one of these with
 // its argv; when the user passed `--json <path>`, key/value pairs recorded
 // via Config()/Metric() are written to `path` as

@@ -58,11 +58,5 @@ int main(int argc, char** argv) {
   if (!json.Write()) {
     return 1;
   }
-  const bool shape_ok = std::abs(delta[1]) <= 1.0 && delta[2] >= -12.0 && delta[2] <= -3.0 &&
-                        delta[3] >= -32.0 && delta[3] <= -18.0;
-  std::fprintf(stderr,
-               "%s: CPS vs baseline: Tai Chi within 1%%, vDP in [-12%%, -3%%], type-2 in "
-               "[-32%%, -18%%]\n",
-               shape_ok ? "PASS" : "SHAPE MISMATCH");
-  return shape_ok ? 0 : 1;
+  return bench::MechanismShapeHolds("CPS", delta[1], delta[2], delta[3]) ? 0 : 1;
 }

@@ -1,12 +1,21 @@
 // Figure 13: fio 4 KB storage IOPS under four mechanisms (fio_rw: 16
 // threads, libaio). Paper: Tai Chi -0.06%, Tai Chi-vDP ~-6%, type-2 ~-25.7%
 // versus baseline.
+//
+// Exits 1 on a shape mismatch, with Fig. 12's bands: Tai Chi IOPS more than
+// 1% from the baseline, vDP outside [-12%, -3%] of it, or type-2 outside
+// [-32%, -18%]. The verdict goes to stderr, so stdout stays the figure alone.
 #include "bench/common.h"
 
 using namespace taichi;
 
-int main() {
+int main(int argc, char** argv) {
   bench::PrintHeader("Figure 13", "fio 4KB IOPS across virtualization mechanisms");
+
+  bench::JsonReport json("fig13_fio_iops", argc, argv);
+  json.Config("threads", static_cast<int64_t>(16));
+  json.Config("iodepth", static_cast<int64_t>(32));
+  json.Config("seed", static_cast<int64_t>(42));
 
   struct Row {
     exp::Mode mode;
@@ -36,5 +45,17 @@ int main() {
   }
   t.Print();
   std::printf("\npaper: Tai Chi ~-0.06%%, Tai Chi-vDP ~-6%%, type-2 ~-25.7%% vs baseline\n");
-  return 0;
+
+  // IOPS change vs baseline, in percent, per mechanism (rows[0] is baseline).
+  double delta[4] = {};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    delta[i] = (rows[i].result.iops / base.iops - 1.0) * 100.0;
+    const std::string prefix = std::string(exp::ToString(rows[i].mode)) + ".";
+    json.Metric(prefix + "iops", rows[i].result.iops);
+    json.Metric(prefix + "iops_vs_base_pct", delta[i]);
+  }
+  if (!json.Write()) {
+    return 1;
+  }
+  return bench::MechanismShapeHolds("IOPS", delta[1], delta[2], delta[3]) ? 0 : 1;
 }

@@ -42,7 +42,7 @@ Autopilot::Autopilot(Cluster* cluster, scenario::TrafficSource* source, Autopilo
       source_(source),
       config_(std::move(config)),
       monitor_(cluster, config_.slo),
-      placer_(cluster->size(), config_.capacity, PlacePolicy::kLeastLoaded) {}
+      placer_(cluster->size(), config_.capacity) {}
 
 Autopilot::~Autopilot() { Disarm(); }
 
@@ -69,7 +69,7 @@ void Autopilot::Arm() {
   // Seed the placer's books from the source's current VM shares: one
   // unit_spec per migrate_unit of share, so Fits() sees what each node is
   // actually carrying before any move is considered.
-  placer_ = Placer(n, config_.capacity, PlacePolicy::kLeastLoaded);
+  placer_ = Placer(n, config_.capacity);
   for (size_t i = 0; i < n; ++i) {
     const double share = source_ != nullptr ? source_->VmShare(i) : 1.0;
     const int want = config_.migrate_unit > 0

@@ -6,29 +6,11 @@
 
 namespace taichi::fleet {
 
-const char* ToString(PlacePolicy policy) {
-  switch (policy) {
-    case PlacePolicy::kRoundRobin:
-      return "round-robin";
-    case PlacePolicy::kLeastLoaded:
-      return "least-loaded";
-    case PlacePolicy::kBinPack:
-      return "bin-pack";
-  }
-  return "?";
-}
-
-Placer::Placer(size_t num_nodes, NodeCapacity capacity, PlacePolicy policy)
-    : capacity_(capacity), policy_(policy), loads_(num_nodes),
-      by_score_(ScoreOrder{policy == PlacePolicy::kBinPack}) {
+Placer::Placer(size_t num_nodes, NodeCapacity capacity)
+    : capacity_(capacity), loads_(num_nodes) {
   if (num_nodes == 0) {
     TAICHI_ERROR(0, "placer: zero nodes is invalid, clamping to 1");
     loads_.resize(1);
-  }
-  if (policy_ != PlacePolicy::kRoundRobin) {
-    for (size_t i = 0; i < loads_.size(); ++i) {
-      by_score_.emplace(LoadScore(i), static_cast<uint32_t>(i));
-    }
   }
 }
 
@@ -57,65 +39,6 @@ double Placer::LoadScore(size_t node) const {
   return score;
 }
 
-void Placer::ReindexNode(size_t node, double old_score) {
-  if (policy_ == PlacePolicy::kRoundRobin) {
-    return;
-  }
-  by_score_.erase({old_score, static_cast<uint32_t>(node)});
-  by_score_.emplace(LoadScore(node), static_cast<uint32_t>(node));
-}
-
-void Placer::Commit(size_t node, const WorkloadSpec& spec) {
-  const double old_score = LoadScore(node);
-  loads_[node].vms += spec.vms;
-  loads_[node].dp_util += spec.dp_util;
-  loads_[node].cp_load += spec.cp_load;
-  ++admitted_;
-  ReindexNode(node, old_score);
-}
-
-Placement Placer::Place(const WorkloadSpec& spec) {
-  Placement out;
-  int chosen = -1;
-  switch (policy_) {
-    case PlacePolicy::kRoundRobin: {
-      for (size_t i = 0; i < loads_.size(); ++i) {
-        const size_t node = (cursor_ + i) % loads_.size();
-        if (Fits(node, spec)) {
-          chosen = static_cast<int>(node);
-          cursor_ = (node + 1) % loads_.size();
-          break;
-        }
-      }
-      break;
-    }
-    case PlacePolicy::kLeastLoaded:
-    case PlacePolicy::kBinPack: {
-      // The index already holds the policy's preference order (coldest-first
-      // for spread, hottest-first for consolidation, lowest id on ties):
-      // take the first node with room. Only full nodes are skipped, so the
-      // probe count is 1 + however many preferred nodes are at capacity.
-      for (const auto& [score, node] : by_score_) {
-        (void)score;
-        if (Fits(node, spec)) {
-          chosen = static_cast<int>(node);
-          break;
-        }
-      }
-      break;
-    }
-  }
-  if (chosen < 0) {
-    ++refused_;
-    out.reason = "no node with capacity for tenant '" + spec.tenant + "'";
-    return out;
-  }
-  Commit(static_cast<size_t>(chosen), spec);
-  out.admitted = true;
-  out.node = chosen;
-  return out;
-}
-
 Placement Placer::PlaceOn(int node, const WorkloadSpec& spec) {
   Placement out;
   if (node < 0 || static_cast<size_t>(node) >= loads_.size()) {
@@ -129,7 +52,11 @@ Placement Placer::PlaceOn(int node, const WorkloadSpec& spec) {
     out.reason = "node lacks capacity for tenant '" + spec.tenant + "'";
     return out;
   }
-  Commit(static_cast<size_t>(node), spec);
+  Load& l = loads_[static_cast<size_t>(node)];
+  l.vms += spec.vms;
+  l.dp_util += spec.dp_util;
+  l.cp_load += spec.cp_load;
+  ++admitted_;
   out.admitted = true;
   out.node = node;
   return out;
@@ -140,7 +67,6 @@ void Placer::Release(int node, const WorkloadSpec& spec) {
     TAICHI_ERROR(0, "placer: release on invalid node %d", node);
     return;
   }
-  const double old_score = LoadScore(static_cast<size_t>(node));
   Load& l = loads_[static_cast<size_t>(node)];
   l.vms -= spec.vms;
   l.dp_util -= spec.dp_util;
@@ -156,7 +82,6 @@ void Placer::Release(int node, const WorkloadSpec& spec) {
     l.dp_util = l.dp_util < 0 ? 0 : l.dp_util;
     l.cp_load = l.cp_load < 0 ? 0 : l.cp_load;
   }
-  ReindexNode(static_cast<size_t>(node), old_score);
 }
 
 }  // namespace taichi::fleet

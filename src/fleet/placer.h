@@ -1,28 +1,20 @@
-// Workload placement: admits tenant workloads (VM bundles with DP traffic
-// and CP management demand) against per-node capacity.
+// Workload capacity ledger: admits tenant workloads (VM bundles with DP
+// traffic and CP management demand) onto a caller-chosen node against
+// per-node capacity.
 //
-// The placer is pure accounting — it decides *where* a workload lands and
-// whether it fits; driving the node's actual load (traffic sources, VM
-// startup storms) is the caller's job (see fleet::LoadGen). Keeping it
-// side-effect-free makes every policy decision unit-testable and replayable.
+// The placer is pure accounting — it records what each node carries and
+// whether more fits; choosing the node (fleet::Autopilot via
+// SloMonitor::CoolestTarget) and driving the node's actual load (traffic
+// sources, VM startup storms) are the callers' jobs. Keeping it
+// side-effect-free makes every admission unit-testable and replayable.
 #ifndef SRC_FLEET_PLACER_H_
 #define SRC_FLEET_PLACER_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace taichi::fleet {
-
-enum class PlacePolicy : uint8_t {
-  kRoundRobin,   // Rotate through nodes, skipping ones that don't fit.
-  kLeastLoaded,  // Spread: lowest load score wins (ties: lowest node id).
-  kBinPack,      // Consolidate: highest load score that still fits wins.
-};
-
-const char* ToString(PlacePolicy policy);
 
 // One tenant workload unit: a bundle of VMs plus the data-plane utilization
 // and control-plane management load they bring to the node hosting them.
@@ -50,14 +42,10 @@ struct Placement {
 
 class Placer {
  public:
-  Placer(size_t num_nodes, NodeCapacity capacity, PlacePolicy policy);
+  Placer(size_t num_nodes, NodeCapacity capacity);
 
-  // Picks a node for `spec` per the policy and commits the accounting, or
-  // refuses when no node can hold it.
-  Placement Place(const WorkloadSpec& spec);
-  // Commits `spec` onto a specific node (targeted admission, e.g. a
-  // rebalancing move landing on a chosen target). Refuses when it does not
-  // fit — never overcommits.
+  // Commits `spec` onto `node` (e.g. a migration landing on the target the
+  // caller chose). Refuses when it does not fit — never overcommits.
   Placement PlaceOn(int node, const WorkloadSpec& spec);
   // Reverses a prior placement (tenant teardown, rebalancing). Releasing a
   // spec that was never admitted on `node` (double-release, wrong node) is a
@@ -68,8 +56,6 @@ class Placer {
   bool Fits(size_t node, const WorkloadSpec& spec) const;
 
   size_t size() const { return loads_.size(); }
-  PlacePolicy policy() const { return policy_; }
-  const NodeCapacity& capacity() const { return capacity_; }
 
   int vms(size_t node) const { return loads_[node].vms; }
   double dp_util(size_t node) const { return loads_[node].dp_util; }
@@ -81,40 +67,14 @@ class Placer {
   uint64_t refused() const { return refused_; }
 
  private:
-  void Commit(size_t node, const WorkloadSpec& spec);
-  // Re-seats `node` in the score index after its load changed; `old_score`
-  // is its LoadScore before the change (the exact double that was inserted).
-  void ReindexNode(size_t node, double old_score);
-
   struct Load {
     int vms = 0;
     double dp_util = 0.0;
     double cp_load = 0.0;
   };
 
-  // Score-ordered node index for the scanning policies: least-loaded probes
-  // ascending, bin-pack descending, ties in both break toward the lowest
-  // node id (the id is part of the key, so the order is total and matches
-  // the old linear scan's explicit tie-break exactly). Place() walks it in
-  // preference order and takes the first node that fits — O(log n) per
-  // load change and O(1 + skipped) per placement instead of the O(n) full
-  // scan, which autopilot migration churn turned quadratic at 10k nodes.
-  struct ScoreOrder {
-    bool descending = false;
-    bool operator()(const std::pair<double, uint32_t>& a,
-                    const std::pair<double, uint32_t>& b) const {
-      if (a.first != b.first) {
-        return descending ? a.first > b.first : a.first < b.first;
-      }
-      return a.second < b.second;
-    }
-  };
-
   NodeCapacity capacity_;
-  PlacePolicy policy_;
   std::vector<Load> loads_;
-  std::set<std::pair<double, uint32_t>, ScoreOrder> by_score_;  // Empty for RR.
-  size_t cursor_ = 0;  // Round-robin position.
   uint64_t admitted_ = 0;
   uint64_t refused_ = 0;
 };

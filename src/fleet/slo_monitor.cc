@@ -143,22 +143,4 @@ int SloMonitor::CoolestTarget(const Placer& placer, const WorkloadSpec& unit,
   return coolest;
 }
 
-std::vector<SloMonitor::Move> SloMonitor::SuggestRebalance(const Placer& placer,
-                                                           const WorkloadSpec& unit) const {
-  std::vector<Move> moves;
-  if (placer.size() != cluster_->size()) {
-    TAICHI_ERROR(cluster_->Now(), "slo: placer tracks %zu nodes but the cluster has %zu",
-                 placer.size(), cluster_->size());
-    return moves;
-  }
-  // last_.hotspots is ascending, so the move list order is stable too.
-  for (int hot : last_.hotspots) {
-    const int coolest = CoolestTarget(placer, unit, hot);
-    if (coolest >= 0) {
-      moves.push_back({hot, coolest});
-    }
-  }
-  return moves;
-}
-
 }  // namespace taichi::fleet

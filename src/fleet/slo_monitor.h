@@ -1,7 +1,7 @@
 // Fleet SLO monitoring: aggregates one summary metric (default: the VM
 // startup latency that is the paper's headline CP SLO) across every node
-// into fleet percentiles, flags breaches and hotspot nodes, and suggests
-// rebalancing moves against a Placer's accounting. Percentiles carry
+// into fleet percentiles, flags breaches and hotspot nodes, and names the
+// coolest migration target by a Placer's accounting. Percentiles carry
 // sim::Summary's bucket error (within 2^-8 of the exact order statistic).
 //
 // Observation is windowed: each Observe() evaluates only the samples that
@@ -69,11 +69,6 @@ class SloMonitor {
     std::vector<HeavyFlow> fleet_heavy;
   };
 
-  struct Move {
-    int from = -1;
-    int to = -1;
-  };
-
   SloMonitor(Cluster* cluster, SloConfig config);
 
   // Evaluates the window since the previous Observe() (first call: since the
@@ -89,20 +84,11 @@ class SloMonitor {
   const Report& last() const { return last_; }
   const SloConfig& config() const { return config_; }
 
-  // For each hotspot in the last report, proposes moving load to the
-  // coolest non-hotspot node by the placer's accounting. Advice only — the
-  // caller applies it via Placer::Release/PlaceOn and its load drivers.
-  // Targets are restricted to nodes that are alive, not themselves
-  // breaching, and where `unit` (the workload quantum a move would carry)
-  // passes Placer::Fits — no move is ever suggested that the placer would
-  // refuse. Ordering is deterministic: hotspots ascending, coolest target
-  // with the lowest node id on ties.
-  std::vector<Move> SuggestRebalance(const Placer& placer,
-                                     const WorkloadSpec& unit = WorkloadSpec{}) const;
-
   // The coolest viable migration target for load leaving `exclude`, by the
-  // last report: alive, not a hotspot, not breaching, and with room for
-  // `unit` per the placer. -1 when nothing qualifies.
+  // placer's load score and the last report: alive, not a hotspot, not
+  // breaching, and with room for `unit` (the workload quantum a move would
+  // carry) per Placer::Fits — never a target the placer would refuse. Ties
+  // go to the lowest node id. -1 when nothing qualifies.
   int CoolestTarget(const Placer& placer, const WorkloadSpec& unit, int exclude) const;
 
  private:

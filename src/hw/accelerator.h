@@ -51,10 +51,6 @@ class Accelerator {
   uint32_t dest_cpu(uint32_t queue) const { return queues_[queue].dest_cpu; }
   size_t queue_count() const { return queues_.size(); }
 
-  // Re-homes a queue to a different DP CPU (used by the §8 dynamic
-  // repartition experiment).
-  void SetDestCpu(uint32_t queue, uint32_t dest_cpu) { queues_[queue].dest_cpu = dest_cpu; }
-
   // Installs the hardware workload probe "firmware" (the paper's ~30-line
   // accelerator modification). Null uninstalls it.
   void set_probe(HwWorkloadProbe* probe) { probe_ = probe; }

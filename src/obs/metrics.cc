@@ -161,29 +161,6 @@ std::string MetricsSnapshot::ToJson() const {
   return out;
 }
 
-std::string MetricsSnapshot::ToCsv() const {
-  std::string out = "name,kind,count,value,min,mean,max,p50,p90,p99,sum\n";
-  for (const MetricSample& s : samples) {
-    out += s.name;
-    out += ',';
-    out += ToString(s.kind);
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-        out += "," + Num(s.count) + ",,,,,,,,";
-        break;
-      case MetricSample::Kind::kGauge:
-        out += ",," + Num(s.value) + ",,,,,,,";
-        break;
-      case MetricSample::Kind::kSummary:
-        out += "," + Num(s.count) + ",," + Num(s.min) + "," + Num(s.mean) + "," + Num(s.max) +
-               "," + Num(s.p50) + "," + Num(s.p90) + "," + Num(s.p99) + "," + Num(s.sum);
-        break;
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 sim::Summary MergeSummaries(const std::vector<const sim::Summary*>& parts) {
   sim::Summary merged;
   for (const sim::Summary* part : parts) {
@@ -196,8 +173,7 @@ sim::Summary MergeSummaries(const std::vector<const sim::Summary*>& parts) {
 }
 
 bool MetricsSnapshot::WriteFile(const std::string& path) const {
-  const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  std::string body = csv ? ToCsv() : ToJson();
+  const std::string body = ToJson();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     TAICHI_ERROR(at, "metrics: cannot open '%s' for writing", path.c_str());

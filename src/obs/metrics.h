@@ -1,6 +1,6 @@
 // Central metrics registry: every component registers its named
 // counters/gauges/summaries here, and the registry can be
-// snapshotted at any simulated time and exported as JSON or CSV.
+// snapshotted at any simulated time and exported as JSON.
 //
 // The registry does not own metric storage — components keep their metric
 // members (so their existing accessors stay cheap) and register *pointers*.
@@ -42,9 +42,8 @@ struct MetricsSnapshot {
 
   const MetricSample* Find(const std::string& name) const;
   std::string ToJson() const;
-  std::string ToCsv() const;
-  // Serializes to `path` in the format implied by the extension (".csv" for
-  // CSV, JSON otherwise). Returns false (and logs a TAICHI_ERROR) on failure.
+  // Serializes ToJson() to `path`. Returns false (and logs a TAICHI_ERROR)
+  // on failure.
   bool WriteFile(const std::string& path) const;
 };
 

@@ -696,9 +696,6 @@ void Kernel::ExecuteCurrent(CpuId id) {
       return;
     }
     Action a = t->behavior().Next(*this, *t, t->last_result_);
-    if (action_tracer_) {
-      action_tracer_(*t, a);
-    }
     t->pending_ = a;
     t->has_pending_ = true;
     t->action_begun_ = false;

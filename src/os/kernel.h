@@ -124,8 +124,8 @@ class Kernel {
   void Wake(Task* task, CpuId from = kInvalidCpu);
   // Live affinity change (sched_setaffinity): a queued task migrates to an
   // allowed CPU immediately; a running task on a now-forbidden CPU migrates
-  // at its next preemptible boundary. Used by cgroup re-binding and the
-  // §8 audit-domain feature.
+  // at its next preemptible boundary. Testbed moves CP tasks onto and off
+  // the vCPUs with it (§5's affinity deployment).
   void SetTaskAffinity(Task* task, CpuSet affinity);
   // Ends a kBusyPoll early (work arrived) or wakes a blocked task. The
   // standard kick data-plane rings use.
@@ -185,10 +185,6 @@ class Kernel {
   // episode — data for the Fig. 5 distribution.
   using NonPreemptTracer = std::function<void(const Task&, sim::Duration)>;
   void set_nonpreempt_tracer(NonPreemptTracer t) { nonpreempt_tracer_ = std::move(t); }
-  // Called for every fresh action a task begins — the instruction-level
-  // telemetry hook behind §8's on-demand auditing.
-  using ActionTracer = std::function<void(const Task&, const Action&)>;
-  void set_action_tracer(ActionTracer t) { action_tracer_ = std::move(t); }
   using TaskExitHandler = std::function<void(Task&)>;
   void set_task_exit_handler(TaskExitHandler h) { task_exit_handler_ = std::move(h); }
 
@@ -299,7 +295,6 @@ class Kernel {
   GuestHaltHandler guest_halt_handler_;
   IdleHandler idle_handler_;
   NonPreemptTracer nonpreempt_tracer_;
-  ActionTracer action_tracer_;
   TaskExitHandler task_exit_handler_;
 
   obs::TraceRecorder* tracer_ = nullptr;

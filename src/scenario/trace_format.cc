@@ -289,15 +289,20 @@ void PacketTraceReplayer::InjectRun(fleet::Cluster& cluster, size_t node) {
   const sim::SimTime now = bed.sim().Now();
   const std::vector<size_t>& ids = per_node_[node];
   size_t& cur = cursor_[node];
+  hw::Accelerator& accelerator = bed.machine().accelerator();
   // All of this node's records at `now` go in, in recorded order.
   while (cur < ids.size() && trace_.records[ids[cur]].time == now) {
     const PacketRecord& rec = trace_.records[ids[cur]];
+    ++cur;
+    if (rec.queue >= accelerator.queue_count()) {
+      ++dropped_per_node_[node];  // The trace names a queue this NIC lacks.
+      continue;
+    }
     hw::IoPacket pkt = rec.pkt;
     pkt.created = now;
     pkt.ring_push = 0;
-    bed.machine().accelerator().Ingress(rec.queue, pkt);
+    accelerator.Ingress(rec.queue, pkt);
     ++injected_per_node_[node];
-    ++cur;
   }
   ScheduleNext(cluster, node);
 }

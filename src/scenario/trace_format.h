@@ -108,7 +108,8 @@ class PacketTraceRecorder : public NodeLifecycleListener {
 
 // Replays a PacketTrace as a TrafficSource: per node, one chained event
 // walks the node's records in order and re-issues Ingress() at the recorded
-// times. Records behind the fleet clock at Start() are skipped (counted in
+// times. Records behind the fleet clock at Start(), and records for a node
+// or an eNIC queue this cluster lacks, are skipped (counted in
 // dropped_late()); a trace recorded from boot replays in full.
 class PacketTraceReplayer : public TrafficSource {
  public:
@@ -141,7 +142,7 @@ class PacketTraceReplayer : public TrafficSource {
   std::vector<std::vector<size_t>> per_node_;
   std::vector<size_t> cursor_;
   std::vector<uint64_t> injected_per_node_;
-  std::vector<uint64_t> dropped_per_node_;
+  std::vector<uint64_t> dropped_per_node_;  // Late, or on a missing queue.
   uint64_t dropped_unmapped_ = 0;  // Records for nodes this cluster lacks.
   bool running_ = false;
 };

@@ -95,6 +95,4 @@ Duration Rng::UniformDuration(Duration lo, Duration hi) {
   return UniformInt(std::max<Duration>(lo, 1), std::max<Duration>(hi, 1));
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 }  // namespace taichi::sim

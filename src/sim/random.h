@@ -51,10 +51,6 @@ class Rng {
   Duration ExpDuration(Duration mean);
   Duration UniformDuration(Duration lo, Duration hi);
 
-  // Forks an independent stream seeded from this one; handy for giving each
-  // workload source its own stream while keeping global determinism.
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };

@@ -52,14 +52,4 @@ std::string Table::Num(double v, int digits) {
   return buf;
 }
 
-std::string Table::NumWithDelta(double v, double reference, int digits) {
-  if (reference == 0) {
-    return Num(v, digits);
-  }
-  double pct = (v / reference - 1.0) * 100.0;
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%.*f (%+.2f%%)", digits, v, pct);
-  return buf;
-}
-
 }  // namespace taichi::sim

@@ -23,8 +23,6 @@ class Table {
 
   // Formats a double with `digits` decimals.
   static std::string Num(double v, int digits = 2);
-  // Formats a value and a "(+x.x%)" delta vs. a reference.
-  static std::string NumWithDelta(double v, double reference, int digits = 2);
 
  private:
   std::vector<std::string> header_;

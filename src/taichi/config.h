@@ -41,12 +41,6 @@ struct TaiChiConfig {
   // long episode cut short by traffic was still a productive donation.
   sim::Duration false_positive_window = sim::Micros(15);
 
-  // Idle dedicated CP pCPUs also host runnable vCPUs (tasks frozen inside a
-  // preempted vCPU are invisible to task-level load balancing, so the vCPU
-  // itself must be given CPU time). A native wake on the pCPU reclaims it
-  // through the usual IPI-induced VM-exit.
-  bool host_vcpus_on_idle_cp_cpus = true;
-
   // Feature toggles for ablations and the Table 5 / §6.4 experiments.
   bool hw_probe_enabled = true;
   bool adaptive_slice = true;

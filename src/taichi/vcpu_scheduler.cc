@@ -32,9 +32,7 @@ VcpuScheduler::VcpuScheduler(os::Kernel* kernel, virt::VcpuPool* pool,
   }
   kernel_->RegisterSoftirq(kVcpuSwitchSoftirq, [this](os::CpuId cpu) { DoSwitch(cpu); });
   sw_probe_->set_scheduler(this);
-  if (config_.host_vcpus_on_idle_cp_cpus) {
-    kernel_->set_idle_handler([this](os::CpuId pcpu) { OnCpuIdle(pcpu); });
-  }
+  kernel_->set_idle_handler([this](os::CpuId pcpu) { OnCpuIdle(pcpu); });
 }
 
 VcpuScheduler::~VcpuScheduler() {
@@ -43,9 +41,7 @@ VcpuScheduler::~VcpuScheduler() {
     CancelSliceTimer(pcpu);
   }
   kernel_->RegisterSoftirq(kVcpuSwitchSoftirq, nullptr);
-  if (config_.host_vcpus_on_idle_cp_cpus) {
-    kernel_->set_idle_handler(nullptr);
-  }
+  kernel_->set_idle_handler(nullptr);
   sw_probe_->set_scheduler(nullptr);
 }
 
@@ -99,13 +95,11 @@ void VcpuScheduler::MarkRunnable(os::CpuId vcpu) {
 void VcpuScheduler::OnVcpuKicked(os::CpuId vcpu) {
   MarkRunnable(vcpu);
   // An idle dedicated CP pCPU can host the kicked vCPU immediately.
-  if (config_.host_vcpus_on_idle_cp_cpus) {
-    for (os::CpuId cpu = 0; cpu < kernel_->num_cpus(); ++cpu) {
-      if (IsCpCpu(cpu) && kernel_->CpuIdle(cpu) && kernel_->CpuInHostMode(cpu)) {
-        OnCpuIdle(cpu);
-        if (runnable_.empty()) {
-          return;
-        }
+  for (os::CpuId cpu = 0; cpu < kernel_->num_cpus(); ++cpu) {
+    if (IsCpCpu(cpu) && kernel_->CpuIdle(cpu) && kernel_->CpuInHostMode(cpu)) {
+      OnCpuIdle(cpu);
+      if (runnable_.empty()) {
+        return;
       }
     }
   }

@@ -42,7 +42,9 @@ class VcpuScheduler : public virt::GuestController {
   // and place it if a DP CPU already offered idle cycles.
   void OnVcpuKicked(os::CpuId vcpu);
 
-  // A physical CPU went idle; idle dedicated CP pCPUs host runnable vCPUs.
+  // A physical CPU went idle; idle dedicated CP pCPUs host runnable vCPUs
+  // (tasks frozen inside a preempted vCPU are invisible to task-level load
+  // balancing, so the vCPU itself must be given CPU time).
   void OnCpuIdle(os::CpuId pcpu);
 
   // --- virt::GuestController ---

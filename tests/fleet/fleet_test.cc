@@ -1,5 +1,5 @@
-// Fleet layer: cluster determinism, placement policies, staged rollout,
-// runtime enable/disable, and fleet metric aggregation.
+// Fleet layer: cluster determinism, the placer's capacity ledger, staged
+// rollout, runtime enable/disable, and fleet metric aggregation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,14 +30,14 @@ fleet::ClusterConfig SmallCluster(int nodes, uint64_t seed) {
 TEST(Placer, RefusesBeyondCapacity) {
   fleet::NodeCapacity cap;
   cap.vm_slots = 4;
-  fleet::Placer placer(1, cap, fleet::PlacePolicy::kLeastLoaded);
+  fleet::Placer placer(1, cap);
 
   fleet::WorkloadSpec spec;
   spec.tenant = "t";
   spec.vms = 3;
-  EXPECT_TRUE(placer.Place(spec).admitted);
+  EXPECT_TRUE(placer.PlaceOn(0, spec).admitted);
 
-  fleet::Placement refused = placer.Place(spec);
+  fleet::Placement refused = placer.PlaceOn(0, spec);
   EXPECT_FALSE(refused.admitted);
   EXPECT_EQ(refused.node, -1);
   EXPECT_FALSE(refused.reason.empty());
@@ -50,69 +50,29 @@ TEST(Placer, RefusesOnDpAndCpDimensions) {
   fleet::NodeCapacity cap;
   cap.dp_util = 1.0;
   cap.cp_load = 2.0;
-  fleet::Placer placer(1, cap, fleet::PlacePolicy::kRoundRobin);
+  fleet::Placer placer(1, cap);
 
   fleet::WorkloadSpec dp_hog;
   dp_hog.dp_util = 1.5;
-  EXPECT_FALSE(placer.Place(dp_hog).admitted);
+  EXPECT_FALSE(placer.PlaceOn(0, dp_hog).admitted);
 
   fleet::WorkloadSpec cp_hog;
   cp_hog.cp_load = 3.0;
-  EXPECT_FALSE(placer.Place(cp_hog).admitted);
+  EXPECT_FALSE(placer.PlaceOn(0, cp_hog).admitted);
 
   fleet::WorkloadSpec fits;
   fits.dp_util = 0.9;
   fits.cp_load = 1.9;
-  EXPECT_TRUE(placer.Place(fits).admitted);
-}
-
-TEST(Placer, LeastLoadedBreaksTiesTowardLowestId) {
-  fleet::Placer placer(3, fleet::NodeCapacity{}, fleet::PlacePolicy::kLeastLoaded);
-  fleet::WorkloadSpec spec;
-  spec.vms = 2;
-  // All empty: node 0. Then 1 and 2 tie below 0: node 1. Then node 2.
-  EXPECT_EQ(placer.Place(spec).node, 0);
-  EXPECT_EQ(placer.Place(spec).node, 1);
-  EXPECT_EQ(placer.Place(spec).node, 2);
-  // All equal again: back to node 0.
-  EXPECT_EQ(placer.Place(spec).node, 0);
-}
-
-TEST(Placer, RoundRobinRotatesAndSkipsFullNodes) {
-  fleet::NodeCapacity cap;
-  cap.vm_slots = 2;
-  fleet::Placer placer(3, cap, fleet::PlacePolicy::kRoundRobin);
-  fleet::WorkloadSpec spec;
-  spec.vms = 2;  // Each placement fills its node.
-  EXPECT_EQ(placer.Place(spec).node, 0);
-  EXPECT_EQ(placer.Place(spec).node, 1);
-  EXPECT_EQ(placer.Place(spec).node, 2);
-  EXPECT_FALSE(placer.Place(spec).admitted);
-
-  placer.Release(1, spec);
-  EXPECT_EQ(placer.Place(spec).node, 1);
-}
-
-TEST(Placer, BinPackFillsHottestNodeFirst) {
-  fleet::NodeCapacity cap;
-  cap.vm_slots = 4;
-  fleet::Placer placer(2, cap, fleet::PlacePolicy::kBinPack);
-  fleet::WorkloadSpec spec;
-  spec.vms = 2;
-  EXPECT_EQ(placer.Place(spec).node, 0);
-  // Node 0 is hotter and still fits: keep packing it.
-  EXPECT_EQ(placer.Place(spec).node, 0);
-  // Node 0 full: spill to node 1.
-  EXPECT_EQ(placer.Place(spec).node, 1);
+  EXPECT_TRUE(placer.PlaceOn(0, fits).admitted);
 }
 
 TEST(Placer, ReleaseRestoresCapacity) {
-  fleet::Placer placer(2, fleet::NodeCapacity{}, fleet::PlacePolicy::kLeastLoaded);
+  fleet::Placer placer(2, fleet::NodeCapacity{});
   fleet::WorkloadSpec spec;
   spec.vms = 4;
   spec.dp_util = 0.5;
   spec.cp_load = 5.0;
-  fleet::Placement p = placer.Place(spec);
+  fleet::Placement p = placer.PlaceOn(1, spec);
   ASSERT_TRUE(p.admitted);
   EXPECT_GT(placer.LoadScore(static_cast<size_t>(p.node)), 0.0);
   placer.Release(p.node, spec);
@@ -124,7 +84,7 @@ TEST(Placer, ReleaseBelowZeroDies) {
   // Releasing a spec that was never admitted (double-release, migration
   // bookkeeping aimed at the wrong node) corrupts every later admission
   // decision — it must die loudly, not drift.
-  fleet::Placer placer(2, fleet::NodeCapacity{}, fleet::PlacePolicy::kLeastLoaded);
+  fleet::Placer placer(2, fleet::NodeCapacity{});
   fleet::WorkloadSpec spec;
   spec.tenant = "ghost";
   spec.vms = 2;
@@ -132,10 +92,10 @@ TEST(Placer, ReleaseBelowZeroDies) {
 }
 
 TEST(Placer, ReleaseAfterOneAdmissionDiesOnSecondRelease) {
-  fleet::Placer placer(1, fleet::NodeCapacity{}, fleet::PlacePolicy::kLeastLoaded);
+  fleet::Placer placer(1, fleet::NodeCapacity{});
   fleet::WorkloadSpec spec;
   spec.vms = 3;
-  ASSERT_TRUE(placer.Place(spec).admitted);
+  ASSERT_TRUE(placer.PlaceOn(0, spec).admitted);
   placer.Release(0, spec);  // Legitimate.
   EXPECT_DEATH(placer.Release(0, spec), "below zero");
 }
@@ -143,11 +103,10 @@ TEST(Placer, ReleaseAfterOneAdmissionDiesOnSecondRelease) {
 TEST(Placer, PlaceOnTargetsTheNodeOrRefuses) {
   fleet::NodeCapacity cap;
   cap.vm_slots = 4;
-  fleet::Placer placer(3, cap, fleet::PlacePolicy::kLeastLoaded);
+  fleet::Placer placer(3, cap);
   fleet::WorkloadSpec spec;
   spec.vms = 3;
 
-  // Targeted admission ignores the policy's own choice.
   fleet::Placement p = placer.PlaceOn(2, spec);
   ASSERT_TRUE(p.admitted);
   EXPECT_EQ(p.node, 2);
@@ -438,7 +397,7 @@ TEST_F(SloMonitorTest, HotspotReportNamesHeavyFlowsFromSketches) {
   for (int i = 0; i < 4; ++i) {
     lat_[0].Add(10);
     lat_[1].Add(10);
-    lat_[2].Add(90);  // Hotspot, as in DetectsHotspotsAndSuggestsRebalance.
+    lat_[2].Add(90);  // Hotspot, as in DetectsHotspotsAndPicksCoolestTarget.
   }
   fleet::SloMonitor::Report r = monitor.Observe();
   ASSERT_EQ(r.hotspots.size(), 1u);
@@ -483,7 +442,7 @@ TEST_F(SloMonitorTest, HeavyHittersZeroDisablesFlowAttribution) {
   EXPECT_TRUE(r.fleet_heavy.empty());
 }
 
-TEST_F(SloMonitorTest, DetectsHotspotsAndSuggestsRebalance) {
+TEST_F(SloMonitorTest, DetectsHotspotsAndPicksCoolestTarget) {
   cfg_.hotspot_factor = 2.0;
   fleet::SloMonitor monitor(&cluster_, cfg_);
   for (int i = 0; i < 4; ++i) {
@@ -496,21 +455,22 @@ TEST_F(SloMonitorTest, DetectsHotspotsAndSuggestsRebalance) {
   EXPECT_EQ(r.hotspots[0], 2);
   EXPECT_TRUE(r.nodes[2].hotspot);
 
-  fleet::Placer placer(3, fleet::NodeCapacity{}, fleet::PlacePolicy::kLeastLoaded);
+  fleet::Placer placer(3, fleet::NodeCapacity{});
+  const fleet::WorkloadSpec unit;
+  // Equal load everywhere: the tie goes to the lowest node id, which the
+  // autopilot's determinism across reruns and thread counts relies on.
+  EXPECT_EQ(monitor.CoolestTarget(placer, unit, 2), 0);
   fleet::WorkloadSpec spec;
   spec.vms = 4;
-  placer.Place(spec);  // Node 0 carries load; node 1 is the coolest.
-  std::vector<fleet::SloMonitor::Move> moves = monitor.SuggestRebalance(placer);
-  ASSERT_EQ(moves.size(), 1u);
-  EXPECT_EQ(moves[0].from, 2);
-  EXPECT_EQ(moves[0].to, 1);
+  ASSERT_TRUE(placer.PlaceOn(0, spec).admitted);  // Node 1 is now the coolest.
+  EXPECT_EQ(monitor.CoolestTarget(placer, unit, 2), 1);
 }
 
-TEST_F(SloMonitorTest, SuggestRebalanceIsDeterministic) {
+TEST_F(SloMonitorTest, CoolestTargetIsDeterministic) {
   cfg_.hotspot_factor = 2.0;
   fleet::SloMonitor monitor(&cluster_, cfg_);
-  // Two hotspots against a cool fleet median: the move list must come out
-  // in the same stable (ascending hotspot) order every time it is asked.
+  // Two hotspots against a cool fleet median: each must get the same target
+  // every time it is asked, and never the other hotspot.
   for (int i = 0; i < 20; ++i) {
     lat_[0].Add(10);  // The fleet median sits firmly at 10.
   }
@@ -518,20 +478,18 @@ TEST_F(SloMonitorTest, SuggestRebalanceIsDeterministic) {
     lat_[1].Add(50);
     lat_[2].Add(90);
   }
-  monitor.Observe();
-  fleet::Placer placer(3, fleet::NodeCapacity{}, fleet::PlacePolicy::kLeastLoaded);
-  const std::vector<fleet::SloMonitor::Move> a = monitor.SuggestRebalance(placer);
-  const std::vector<fleet::SloMonitor::Move> b = monitor.SuggestRebalance(placer);
-  ASSERT_EQ(a.size(), 2u);  // Vacuity guard: both hotspots produced a move.
-  ASSERT_EQ(b.size(), 2u);
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].from, b[i].from);
-    EXPECT_EQ(a[i].to, b[i].to);
-    EXPECT_EQ(a[i].to, 0) << "node 0 is the only non-hotspot target";
+  const fleet::SloMonitor::Report r = monitor.Observe();
+  ASSERT_EQ(r.hotspots.size(), 2u);  // Vacuity guard: both nodes are hotspots.
+  fleet::Placer placer(3, fleet::NodeCapacity{});
+  const fleet::WorkloadSpec unit;
+  for (int hot : r.hotspots) {
+    const int a = monitor.CoolestTarget(placer, unit, hot);
+    EXPECT_EQ(a, monitor.CoolestTarget(placer, unit, hot));
+    EXPECT_EQ(a, 0) << "node 0 is the only non-hotspot target";
   }
 }
 
-TEST_F(SloMonitorTest, SuggestRebalanceNeverSuggestsAnUnfittableMove) {
+TEST_F(SloMonitorTest, CoolestTargetNeverPicksAnUnfittableNode) {
   cfg_.hotspot_factor = 2.0;
   fleet::SloMonitor monitor(&cluster_, cfg_);
   for (int i = 0; i < 4; ++i) {
@@ -540,17 +498,17 @@ TEST_F(SloMonitorTest, SuggestRebalanceNeverSuggestsAnUnfittableMove) {
     lat_[2].Add(90);
   }
   monitor.Observe();
-  // No node can hold the unit: the hotspot stays listed, the move list is
-  // empty — a suggestion the placer would refuse is worse than none.
+  // No node can hold the unit: there is no target — a move the placer
+  // would refuse is worse than none.
   fleet::NodeCapacity tiny;
   tiny.vm_slots = 1;
-  fleet::Placer placer(3, tiny, fleet::PlacePolicy::kLeastLoaded);
+  fleet::Placer placer(3, tiny);
   fleet::WorkloadSpec unit;
   unit.vms = 4;
-  EXPECT_TRUE(monitor.SuggestRebalance(placer, unit).empty());
+  EXPECT_EQ(monitor.CoolestTarget(placer, unit, 2), -1);
 }
 
-TEST_F(SloMonitorTest, SuggestRebalanceSkipsDeadTargets) {
+TEST_F(SloMonitorTest, CoolestTargetSkipsDeadNodes) {
   cfg_.hotspot_factor = 2.0;
   fleet::SloMonitor monitor(&cluster_, cfg_);
   for (int i = 0; i < 4; ++i) {
@@ -559,15 +517,14 @@ TEST_F(SloMonitorTest, SuggestRebalanceSkipsDeadTargets) {
     lat_[2].Add(90);
   }
   monitor.Observe();
-  fleet::Placer placer(3, fleet::NodeCapacity{}, fleet::PlacePolicy::kLeastLoaded);
+  fleet::Placer placer(3, fleet::NodeCapacity{});
   fleet::WorkloadSpec spec;
   spec.vms = 4;
-  placer.Place(spec);  // Node 0 carries load; node 1 would be the coolest.
+  // Node 0 carries load; node 1 would be the coolest.
+  ASSERT_TRUE(placer.PlaceOn(0, spec).admitted);
   cluster_.CrashNode(1);
-  std::vector<fleet::SloMonitor::Move> moves = monitor.SuggestRebalance(placer);
-  ASSERT_EQ(moves.size(), 1u);
-  EXPECT_EQ(moves[0].from, 2);
-  EXPECT_EQ(moves[0].to, 0) << "the dead node must not be a target";
+  EXPECT_EQ(monitor.CoolestTarget(placer, fleet::WorkloadSpec{}, 2), 0)
+      << "the dead node must not be a target";
 }
 
 TEST(SloMonitor, RestartedNodeWindowHasEveryNewSample) {
@@ -757,71 +714,6 @@ TEST(Cluster, EpochBoundaryShrinksNodeEventPools) {
   ASSERT_GE(before, 4096u);
   cluster.RunFor(sim::Millis(2));  // One epoch.
   EXPECT_LT(sim.event_pool_slots(), before);
-}
-
-
-// --- Score-indexed placement vs the linear-scan reference ----------------
-
-// Brute-force reference: the exact scan Place() used before the score index.
-int ReferencePlace(const fleet::Placer& p, const fleet::WorkloadSpec& spec) {
-  int best = -1;
-  double best_score = 0;
-  for (size_t i = 0; i < p.size(); ++i) {
-    if (!p.Fits(i, spec)) {
-      continue;
-    }
-    const double score = p.LoadScore(i);
-    const bool better =
-        best < 0 || (p.policy() == fleet::PlacePolicy::kBinPack ? score > best_score
-                                                                : score < best_score);
-    if (better) {
-      best = static_cast<int>(i);
-      best_score = score;
-    }
-  }
-  return best;
-}
-
-TEST(Placer, IndexedPlaceMatchesLinearScanUnderChurn) {
-  // Randomized commit/release churn: every Place() decision must equal the
-  // old O(n) scan's, including its lowest-id tie-breaks (fresh fleets are
-  // all-ties, so the tie path is exercised from the first placement).
-  for (fleet::PlacePolicy policy :
-       {fleet::PlacePolicy::kLeastLoaded, fleet::PlacePolicy::kBinPack}) {
-    fleet::NodeCapacity cap;
-    cap.vm_slots = 8;
-    cap.dp_util = 2.0;
-    cap.cp_load = 16.0;
-    fleet::Placer placer(13, cap, policy);
-    std::vector<std::pair<int, fleet::WorkloadSpec>> admitted;
-    uint64_t seed = 0x91aceULL;
-    for (int round = 0; round < 400; ++round) {
-      seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
-      const uint64_t r = seed >> 16;
-      if (r % 4 == 0 && !admitted.empty()) {
-        const size_t victim = r % admitted.size();
-        placer.Release(admitted[victim].first, admitted[victim].second);
-        admitted[victim] = admitted.back();
-        admitted.pop_back();
-        continue;
-      }
-      fleet::WorkloadSpec spec;
-      spec.tenant = "t" + std::to_string(round);
-      spec.vms = 1 + static_cast<int>(r % 3);
-      spec.dp_util = 0.05 * static_cast<double>(r % 7);
-      spec.cp_load = 0.5 * static_cast<double>(r % 5);
-      const int expect = ReferencePlace(placer, spec);
-      const fleet::Placement got = placer.Place(spec);
-      if (expect < 0) {
-        EXPECT_FALSE(got.admitted) << fleet::ToString(policy) << " round " << round;
-      } else {
-        ASSERT_TRUE(got.admitted) << fleet::ToString(policy) << " round " << round;
-        EXPECT_EQ(got.node, expect) << fleet::ToString(policy) << " round " << round;
-        admitted.push_back({got.node, spec});
-      }
-    }
-    EXPECT_GT(placer.admitted(), 100u);
-  }
 }
 
 // --- Flow-aggregate load generation --------------------------------------

@@ -98,15 +98,6 @@ TEST_F(AcceleratorTest, ResidencyStatRecordsWindow) {
   EXPECT_NEAR(acc.residency_us().mean(), 3.2, 1e-9);
 }
 
-TEST_F(AcceleratorTest, SetDestCpuRehomesQueue) {
-  sim::Simulation s;
-  Accelerator acc(&s, {});
-  acc.set_pool(&pool_);
-  uint32_t q = acc.AddQueue(0);
-  acc.SetDestCpu(q, 3);
-  EXPECT_EQ(acc.dest_cpu(q), 3u);
-}
-
 TEST_F(AcceleratorTest, PoolExhaustionCountsAsDrop) {
   // A pool with room for 2 packets: the third arrival is shed before the
   // pipeline and shows up in pool_drops(), not as a published packet.

@@ -34,6 +34,9 @@ TEST_F(AffinityTest, RunningTaskMigratesMidCompute) {
   sim_.RunFor(sim::Millis(1));
   EXPECT_EQ(t->cpu(), 2);
   EXPECT_EQ(t->state(), TaskState::kRunning);
+  // The old CPU drains to idle: the task left no copy behind.
+  EXPECT_EQ(kernel_->current_task(0), nullptr);
+  EXPECT_EQ(kernel_->runnable_count(0), 0u);
   sim_.RunFor(sim::Millis(30));
   EXPECT_EQ(t->state(), TaskState::kExited);
   // No work was lost across the migration.

@@ -241,6 +241,28 @@ TEST(PacketTrace, ReplayedRunReRecordsByteIdentically) {
   EXPECT_TRUE(original == replayed) << "re-recorded replay diverged from the original trace";
 }
 
+TEST(PacketTrace, ReplaySkipsRecordsOnQueuesTheNodeLacks) {
+  // A well-formed trace may name an eNIC queue the replaying node does not
+  // have. That record is counted as undeliverable, never ingressed, and the
+  // replay carries on.
+  fleet::Cluster cluster(SmallCluster(1, 7));
+  const size_t queues = cluster.node(0).machine().accelerator().queue_count();
+  ASSERT_GT(queues, 0u);
+  scenario::PacketTrace trace;
+  trace.node_count = 1;
+  trace.records.push_back(MakeRecord(cluster.Now() + sim::Micros(10), 0));
+  trace.records.back().queue = 0;
+  trace.records.push_back(MakeRecord(cluster.Now() + sim::Micros(20), 0));
+  trace.records.back().queue = static_cast<uint16_t>(queues);
+
+  scenario::PacketTraceReplayer replayer(std::move(trace));
+  replayer.Start(cluster);
+  cluster.RunFor(sim::Millis(1));
+  EXPECT_EQ(replayer.injected(), 1u);
+  EXPECT_EQ(replayer.dropped_late(), 1u);
+  replayer.Stop(cluster);
+}
+
 // --- Cluster crash / restart -------------------------------------------------
 
 TEST(ClusterChaos, CrashAndRestartKeepTheFleetStepping) {

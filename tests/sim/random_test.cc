@@ -120,19 +120,6 @@ TEST(RngTest, ExpDurationNeverZero) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(31);
-  Rng b = a.Fork();
-  // The fork and parent should not produce identical streams.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.Next() == b.Next()) {
-      ++same;
-    }
-  }
-  EXPECT_LT(same, 2);
-}
-
 TEST(RngTest, LogNormalMeanRoughlyMatches) {
   Rng r(37);
   double sum = 0;

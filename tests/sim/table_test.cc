@@ -26,12 +26,6 @@ TEST(TableTest, NumFormatsDigits) {
   EXPECT_EQ(Table::Num(3.0, 0), "3");
 }
 
-TEST(TableTest, NumWithDeltaShowsPercent) {
-  EXPECT_EQ(Table::NumWithDelta(99.0, 100.0, 1), "99.0 (-1.00%)");
-  EXPECT_EQ(Table::NumWithDelta(102.0, 100.0, 0), "102 (+2.00%)");
-  EXPECT_EQ(Table::NumWithDelta(5.0, 0.0, 1), "5.0");
-}
-
 TEST(TableTest, HeaderSeparatorPresent) {
   Table t({"h"});
   t.AddRow({"v"});

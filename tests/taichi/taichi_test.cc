@@ -70,6 +70,28 @@ TEST_F(TaiChiTest, TaskOnVcpuRunsViaIdleCpPcpuHosting) {
   EXPECT_GT(taichi_->scheduler().switches(), 0u);
 }
 
+TEST_F(TaiChiTest, LiveAffinityMovesARunningTaskIntoTheVcpuDomainAndBack) {
+  // §5 deploys CP tasks by plain CPU affinity: re-binding a running task to
+  // the vCPUs moves it into a vCPU context, and re-binding it back returns
+  // it to its physical CPU.
+  os::Task* t = kernel_->Spawn(
+      "cp_task",
+      std::make_unique<os::LoopBehavior>(std::vector<os::Action>{
+          os::Action::Compute(sim::Micros(100)), os::Action::KernelSection(sim::Micros(50))}),
+      os::CpuSet::Of({4}));
+  sim_.RunFor(sim::Millis(2));
+  EXPECT_EQ(t->cpu(), 4);
+
+  kernel_->SetTaskAffinity(t, taichi_->vcpu_set());
+  sim_.RunFor(sim::Millis(5));
+  EXPECT_TRUE(taichi_->vcpu_set().Test(t->cpu())) << "still on " << t->cpu();
+
+  kernel_->SetTaskAffinity(t, os::CpuSet::Of({4}));
+  sim_.RunFor(sim::Millis(5));
+  EXPECT_EQ(t->cpu(), 4);
+  EXPECT_EQ(t->state(), os::TaskState::kRunning);
+}
+
 TEST_F(TaiChiTest, OrchestratorRoutesBootIpis) {
   // Boot IPIs for the 4 vCPUs went through the orchestrator.
   EXPECT_GE(taichi_->orchestrator().routed(), 4u);
