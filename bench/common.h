@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -70,6 +71,17 @@ inline bool MechanismShapeHolds(const char* metric, double taichi_pct, double vd
   return ok;
 }
 
+// The Fig. 14–16 paper shape: Tai Chi's average and worst throughput
+// overhead against the baseline, in percent, both below 2% (paper: 0.6% /
+// 1.92% for the DP suites, 1.56% / 1.63% for MySQL, 0.51% / ~1% for Nginx).
+// Prints the verdict on stderr and returns whether the shape holds.
+inline bool OverheadShapeHolds(double average_pct, double worst_pct) {
+  const bool ok = average_pct < 2.0 && worst_pct < 2.0;
+  std::fprintf(stderr, "%s: average and peak throughput overhead below 2%%\n",
+               ok ? "PASS" : "SHAPE MISMATCH");
+  return ok;
+}
+
 // Machine-readable bench output. Every harness constructs one of these with
 // its argv; when the user passed `--json <path>`, key/value pairs recorded
 // via Config()/Metric() are written to `path` as
@@ -97,23 +109,44 @@ class JsonReport {
 
   bool requested() const { return !path_.empty(); }
 
-  void Config(const std::string& key, const std::string& value) {
-    config_.emplace_back(key, Quote(value));
+  // Each recorder returns at once without --json, allocating nothing.
+  void Config(std::string_view key, const std::string& value) {
+    if (requested()) {
+      config_.emplace_back(key, Quote(value));
+    }
   }
-  void Config(const std::string& key, double value) { config_.emplace_back(key, Num(value)); }
-  void Config(const std::string& key, int64_t value) {
-    config_.emplace_back(key, std::to_string(value));
+  void Config(std::string_view key, double value) {
+    if (requested()) {
+      config_.emplace_back(key, Num(value));
+    }
   }
-  void Config(const std::string& key, bool value) {
-    config_.emplace_back(key, value ? "true" : "false");
+  void Config(std::string_view key, int64_t value) {
+    if (requested()) {
+      config_.emplace_back(key, std::to_string(value));
+    }
+  }
+  void Config(std::string_view key, bool value) {
+    if (requested()) {
+      config_.emplace_back(key, value ? "true" : "false");
+    }
   }
 
-  void Metric(const std::string& key, double value) { metrics_.emplace_back(key, Num(value)); }
-  void Metric(const std::string& key, int64_t value) {
-    metrics_.emplace_back(key, std::to_string(value));
+  void Metric(std::string_view key, double value) {
+    if (requested()) {
+      metrics_.emplace_back(key, Num(value));
+    }
+  }
+  void Metric(std::string_view key, int64_t value) {
+    if (requested()) {
+      metrics_.emplace_back(key, std::to_string(value));
+    }
   }
   // Flattens a latency summary into <key>.{count,mean,p50,p90,p99,max}.
-  void Metric(const std::string& key, const sim::Summary& summary) {
+  void Metric(std::string_view key_view, const sim::Summary& summary) {
+    if (!requested()) {
+      return;
+    }
+    const std::string key(key_view);
     Metric(key + ".count", static_cast<int64_t>(summary.count()));
     if (summary.empty()) {
       return;

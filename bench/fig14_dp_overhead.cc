@@ -172,8 +172,5 @@ int main(int argc, char** argv) {
   if (!json.Write()) {
     return 1;
   }
-  const bool shape_ok = average < 2.0 && worst < 2.0;
-  std::fprintf(stderr, "%s: average and peak throughput overhead below 2%%\n",
-               shape_ok ? "PASS" : "SHAPE MISMATCH");
-  return shape_ok ? 0 : 1;
+  return bench::OverheadShapeHolds(average, worst) ? 0 : 1;
 }

@@ -62,8 +62,7 @@ MysqlResult MysqlSim::Run(sim::Duration duration, sim::Duration warmup) {
       hw::IoPacket completion = pkt;
       completion.user_tag |= kIoBit;
       completion.created = 0;
-      bed_->sim().Schedule(config_.backend_latency,
-                           [this, completion] { bed_->Inject(completion); });
+      bed_->Inject(completion, config_.backend_latency);
       return;
     }
     FinishServerSide(payload & ~kIoBit & 0xffffffffffULL);

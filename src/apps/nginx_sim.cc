@@ -72,7 +72,7 @@ NginxResult NginxSim::Run(sim::Duration duration, sim::Duration warmup) {
     resp.size_bytes = payload_leg ? config_.response_bytes : 64;
     resp.created = 0;
     resp.dp_cost_hint = 0;
-    bed_->sim().Schedule(compute, [this, resp] { bed_->InjectFromVm(resp); });
+    bed_->InjectFromVm(resp, compute);
   });
 
   bed_->RegisterWireSink(owner_, [this](const hw::IoPacket& pkt, sim::SimTime now) {

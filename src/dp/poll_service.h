@@ -65,7 +65,6 @@ class PollService : public os::Behavior {
 
   os::CpuId cpu() const { return cpu_; }
   YieldPolicy policy() const { return policy_; }
-  void set_policy(YieldPolicy policy) { policy_ = policy; }
   void set_sink(BatchSink sink) { sink_ = std::move(sink); }
 
   // The arena the ring descriptors point into. Must be set before the first

@@ -2,25 +2,30 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace taichi::exp {
 
 // ---- PingRunner ------------------------------------------------------------
 
+namespace {
+// A send-time slot with no ping awaiting its reply.
+constexpr sim::SimTime kUnsent = std::numeric_limits<sim::SimTime>::max();
+}  // namespace
+
 PingRunner::PingRunner(Testbed* bed, uint16_t owner) : bed_(bed), owner_(owner) {}
 
 sim::Summary PingRunner::Run(int count, sim::Duration interval) {
   sim::Summary rtt_us;
-  auto state = std::make_shared<int>(0);  // Pings completed.
-  std::unordered_map<uint64_t, sim::SimTime> sent_at;
+  int completed = 0;
+  std::vector<sim::SimTime> sent_at(static_cast<size_t>(count), kUnsent);
 
   // VM side: reflect the echo request after the guest stack delay.
   bed_->RegisterVmSink(owner_, [this](const hw::IoPacket& pkt, sim::SimTime) {
     hw::IoPacket reply = pkt;
     reply.kind = hw::IoKind::kNetTx;
     reply.created = 0;
-    bed_->sim().Schedule(bed_->VmStackDelay(),
-                         [this, reply] { bed_->InjectFromVm(reply); });
+    bed_->InjectFromVm(reply, bed_->VmStackDelay());
   });
 
   auto send_ping = [this, &sent_at](uint64_t seq) {
@@ -37,13 +42,12 @@ sim::Summary PingRunner::Run(int count, sim::Duration interval) {
   // Client side: record the RTT when the echo reply hits the wire sink.
   bed_->RegisterWireSink(owner_, [&](const hw::IoPacket& pkt, sim::SimTime now) {
     uint64_t seq = pkt.user_tag & 0xffffffffffffULL;
-    auto it = sent_at.find(seq);
-    if (it == sent_at.end()) {
+    if (seq >= sent_at.size() || sent_at[seq] == kUnsent) {
       return;
     }
-    rtt_us.Add(sim::ToMicros(now - it->second));
-    sent_at.erase(it);
-    ++*state;
+    rtt_us.Add(sim::ToMicros(now - sent_at[seq]));
+    sent_at[seq] = kUnsent;
+    ++completed;
   });
 
   for (int i = 0; i < count; ++i) {
@@ -53,7 +57,7 @@ sim::Summary PingRunner::Run(int count, sim::Duration interval) {
   // Run until all pings complete (with a generous deadline).
   sim::SimTime deadline =
       bed_->sim().Now() + interval * static_cast<uint64_t>(count) + sim::Seconds(2);
-  while (*state < count && bed_->sim().Now() < deadline) {
+  while (completed < count && bed_->sim().Now() < deadline) {
     bed_->sim().RunFor(sim::Millis(10));
   }
   return rtt_us;
@@ -106,8 +110,7 @@ RrResult RrRunner::Run(sim::Duration duration, sim::Duration warmup) {
     reply.size_bytes = config_.response_bytes;
     reply.created = 0;
     reply.dp_cost_hint = 0;
-    bed_->sim().Schedule(bed_->VmStackDelay(),
-                         [this, reply] { bed_->InjectFromVm(reply); });
+    bed_->InjectFromVm(reply, bed_->VmStackDelay());
   });
 
   // Client side: a response completes a round trip.
@@ -254,8 +257,7 @@ FioResult FioRunner::Run(sim::Duration duration, sim::Duration warmup) {
       hw::IoPacket completion = pkt;
       completion.user_tag |= kCompletionBit;
       completion.created = 0;
-      bed_->sim().Schedule(config_.backend_latency,
-                           [this, completion] { bed_->Inject(completion); });
+      bed_->Inject(completion, config_.backend_latency);
       return;
     }
     uint64_t slot = payload & ~kCompletionBit;

@@ -5,7 +5,6 @@
 #define SRC_EXP_RUNNERS_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cp/synth_cp.h"

@@ -187,40 +187,54 @@ uint32_t Testbed::queue_for_flow(uint64_t flow) const {
   return queues_[flow % queues_.size()];
 }
 
-void Testbed::Inject(hw::IoPacket pkt) {
+sim::PacketHandle Testbed::Admit(hw::IoPacket pkt, sim::Duration handover) {
   pkt.queue = queue_for_flow(pkt.flow);
   if (pkt.created == 0) {
-    pkt.created = sim_.Now();
+    pkt.created = sim_.Now() + handover;
   }
-  machine_->accelerator().Ingress(pkt.queue, pkt);
+  const sim::PacketHandle h = machine_->pool().Alloc(pkt);
+  if (h == sim::kInvalidPacketHandle) {
+    machine_->accelerator().CountPoolDrop();
+  }
+  return h;
 }
 
-// The wire / PCIe injection legs allocate the arena slot up front so the
-// delay event captures only {this, handle}: small enough to stay inline in
-// the event slot, and the packet is copied exactly once per traversal.
+// Every event below captures only {this, handle}, which stays inline in the
+// event slot: the packet is copied once, into the arena, per traversal.
+void Testbed::Inject(hw::IoPacket pkt, sim::Duration handover) {
+  const sim::PacketHandle h = Admit(pkt, handover);
+  if (h == sim::kInvalidPacketHandle) {
+    return;
+  }
+  if (handover == 0) {
+    InjectHandle(h);
+  } else {
+    sim_.Schedule(handover, [this, h] { InjectHandle(h); });
+  }
+}
+
 void Testbed::InjectFromWire(hw::IoPacket pkt) {
-  pkt.queue = queue_for_flow(pkt.flow);
-  if (pkt.created == 0) {
-    pkt.created = sim_.Now();
+  const sim::PacketHandle h = Admit(pkt, 0);
+  if (h != sim::kInvalidPacketHandle) {
+    sim_.Schedule(config_.wire_latency, [this, h] { InjectHandle(h); });
   }
-  const sim::PacketHandle h = machine_->pool().Alloc(pkt);
-  if (h == sim::kInvalidPacketHandle) {
-    machine_->accelerator().CountPoolDrop();
-    return;
-  }
-  sim_.Schedule(config_.wire_latency, [this, h] { InjectHandle(h); });
 }
 
-void Testbed::InjectFromVm(hw::IoPacket pkt) {
-  pkt.queue = queue_for_flow(pkt.flow);
-  if (pkt.created == 0) {
-    pkt.created = sim_.Now();
-  }
-  const sim::PacketHandle h = machine_->pool().Alloc(pkt);
+void Testbed::InjectFromVm(hw::IoPacket pkt, sim::Duration handover) {
+  const sim::PacketHandle h = Admit(pkt, handover);
   if (h == sim::kInvalidPacketHandle) {
-    machine_->accelerator().CountPoolDrop();
     return;
   }
+  // The PCIe leg is scheduled at the hand-over, not folded into one event,
+  // so it takes its place among the events of that instant.
+  if (handover == 0) {
+    CrossPcie(h);
+  } else {
+    sim_.Schedule(handover, [this, h] { CrossPcie(h); });
+  }
+}
+
+void Testbed::CrossPcie(sim::PacketHandle h) {
   sim_.Schedule(config_.pcie_dma_cost, [this, h] { InjectHandle(h); });
 }
 

@@ -126,12 +126,18 @@ class Testbed {
   uint32_t queue_for_flow(uint64_t flow) const;
 
   // --- Packet injection (both directions pass the accelerator + DP) ---
+  // Every leg admits the packet at the call: it picks the queue for
+  // pkt.flow, stamps a zero `created` with the hand-over time (now +
+  // `handover`) and copies the packet into the node's arena, where it waits
+  // until the accelerator takes it; an exhausted arena sheds it as one pool
+  // drop. `handover` is how long the host holds the packet first (guest
+  // stack, server or storage-backend time).
   // From the external network: wire latency, then accelerator ingress.
   void InjectFromWire(hw::IoPacket pkt);
-  // From the host VM: PCIe DMA, then accelerator ingress.
-  void InjectFromVm(hw::IoPacket pkt);
-  // Raw ingress at the accelerator (no extra leg).
-  void Inject(hw::IoPacket pkt);
+  // From the host VM: PCIe DMA after the hand-over, then accelerator ingress.
+  void InjectFromVm(hw::IoPacket pkt, sim::Duration handover = 0);
+  // Raw ingress at the accelerator at the hand-over (no extra leg).
+  void Inject(hw::IoPacket pkt, sim::Duration handover = 0);
 
   // --- Delivery sinks, keyed by owner id (top 16 bits of user_tag) ---
   static constexpr int kOwnerShift = 48;
@@ -255,6 +261,10 @@ class Testbed {
   bool TaiChiQuiesced() const;
   void ScheduleDrainCheck();
   void FinishDisableTaiChi();
+  // The admission step of every injection leg (see Inject); returns
+  // kInvalidPacketHandle for a pool drop.
+  sim::PacketHandle Admit(hw::IoPacket pkt, sim::Duration handover);
+  void CrossPcie(sim::PacketHandle h);
   void InjectHandle(sim::PacketHandle h);
   // The DP burst sink: kNetTx and kBlockIo handles are dispatched inline in
   // burst order; each maximal run of consecutive kNetRx handles is queued on

@@ -93,7 +93,7 @@ class Accelerator {
   uint64_t pool_drops() const { return pool_drops_.value(); }
   // Accounts an arrival shed before reaching Ingress because the arena was
   // exhausted (callers that allocate at the injection boundary, e.g. the
-  // testbed's wire/PCIe legs, report their failed Allocs here so all rx
+  // testbed's injection legs, report their failed Allocs here so all rx
   // shedding lands in one place).
   void CountPoolDrop() {
     ingressed_.Inc();

@@ -40,7 +40,6 @@ class Apic {
   // Registers/replaces the interrupt handler for an APIC id.
   void RegisterHandler(ApicId id, Handler handler) { handlers_[id] = std::move(handler); }
   void UnregisterHandler(ApicId id) { handlers_.erase(id); }
-  bool HasHandler(ApicId id) const { return handlers_.contains(id); }
 
   // Sends an interrupt to `to`. Delivered `delivery_latency` later; silently
   // dropped if no handler is registered at delivery time (masked/offline

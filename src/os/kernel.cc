@@ -896,7 +896,6 @@ void Kernel::BeginLockAcquire(CpuId id, Task* t, KernelSpinlock* lock) {
     lock->holder_ = t;
     lock->held_since_ = sim_->Now();
     lock->acquisitions_.Inc();
-    ++t->locks_held_;
     if (tracer_ != nullptr) {
       tracer_->Instant(sim_->Now(), id, obs::TraceCategory::kLock, "lock_acquire", t->id());
     }
@@ -927,7 +926,6 @@ void Kernel::FinishLockAcquire(Task* t, KernelSpinlock* lock) {
   lock->holder_ = t;
   lock->held_since_ = sim_->Now();
   lock->acquisitions_.Inc();
-  ++t->locks_held_;
   if (tracer_ != nullptr) {
     tracer_->Instant(sim_->Now(), t->cpu_, obs::TraceCategory::kLock, "lock_acquire", t->id());
   }
@@ -953,7 +951,6 @@ void Kernel::BeginLockRelease(CpuId id, Task* t, KernelSpinlock* lock) {
     tracer_->Instant(sim_->Now(), id, obs::TraceCategory::kLock, "lock_release", t->id());
   }
   lock->holder_ = nullptr;
-  --t->locks_held_;
   NonPreemptExit(t);
   if (!lock->waiters_.empty()) {
     Task* next = lock->waiters_.front();

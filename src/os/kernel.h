@@ -98,7 +98,6 @@ class Kernel {
 
   int num_cpus() const { return static_cast<int>(cpus_.size()); }
   CpuKind cpu_kind(CpuId cpu) const { return cpus_[cpu]->kind; }
-  hw::ApicId cpu_apic(CpuId cpu) const { return cpus_[cpu]->apic_id; }
   bool cpu_online(CpuId cpu) const { return cpus_[cpu]->online; }
   bool cpu_backed(CpuId cpu) const { return cpus_[cpu]->backed; }
   CpuId guest_of(CpuId pcpu) const { return cpus_[pcpu]->guest; }

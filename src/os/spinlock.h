@@ -24,7 +24,6 @@ class KernelSpinlock {
   const std::string& name() const { return name_; }
   Task* holder() const { return holder_; }
   bool held() const { return holder_ != nullptr; }
-  size_t waiter_count() const { return waiters_.size(); }
 
   uint64_t acquisitions() const { return acquisitions_.value(); }
   uint64_t contentions() const { return contentions_.value(); }

@@ -32,7 +32,7 @@ struct Action {
     kSleep,          // Block for a fixed duration.
     kBlock,          // Block until Kernel::Wake().
     kYield,          // Voluntarily go to the back of the run queue.
-    kBusyPoll,       // Burn CPU polling; ends early via Kernel::KickBusyPoll()
+    kBusyPoll,       // Burn CPU polling; ends early via Kernel::KickTask()
                      // or after `duration` if duration > 0 (0 = unbounded).
     kExit,           // Terminate the task.
   };
@@ -94,9 +94,7 @@ class Task {
   TaskId id() const { return id_; }
   const std::string& name() const { return name_; }
   Priority priority() const { return priority_; }
-  void set_priority(Priority p) { priority_ = p; }
   const CpuSet& affinity() const { return affinity_; }
-  void set_affinity(CpuSet a) { affinity_ = a; }
   Behavior& behavior() { return *behavior_; }
 
   TaskState state() const { return state_; }
@@ -105,7 +103,6 @@ class Task {
   // True while the task must not be task-preempted: inside a kernel section,
   // holding or spinning on a kernel spinlock.
   bool non_preemptible() const { return non_preempt_depth_ > 0; }
-  int locks_held() const { return locks_held_; }
   bool spinning() const { return spinning_; }
 
   // Statistics.
@@ -138,7 +135,6 @@ class Task {
 
   // Non-preemptibility bookkeeping.
   int non_preempt_depth_ = 0;
-  int locks_held_ = 0;
   bool spinning_ = false;
   KernelSpinlock* waiting_lock_ = nullptr;
   sim::SimTime non_preempt_since_ = 0;

@@ -13,22 +13,25 @@
 namespace taichi::sim {
 
 // The closure type behind every scheduled event and every hot sink. Unlike
-// std::function it is move-only (so captures can own resources) and its
-// inline buffer is sized for the simulator's real captures — `this` plus a
-// packet-pool handle plus a couple of ids — so the schedule → fire cycle and
-// the per-burst sink dispatch never touch the allocator. libstdc++'s
-// std::function spills to the heap past 16 bytes, which put one malloc/free
-// pair on the critical path of nearly every simulated IRQ, poll tick, IPI
-// and context switch.
+// std::function it is move-only (so captures can own resources) and it never
+// allocates: the capture lives in an inline buffer sized for the simulator's
+// real captures — `this` plus a packet-pool handle plus a couple of ids — so
+// the schedule → fire cycle and the per-burst sink dispatch never touch the
+// allocator. libstdc++'s std::function spills to the heap past 16 bytes,
+// which put one malloc/free pair on the critical path of nearly every
+// simulated IRQ, poll tick, IPI and context switch.
+//
+// The buffer is the only storage: a capture that does not fit it does not
+// compile (the converting constructor is disabled, so
+// std::is_constructible_v reports false). Nothing needs more room, because
+// a packet in flight waits in its node's sim::PacketPool and a closure
+// carries its 4-byte handle, never the packet itself.
 //
 // Storage layout: two function pointers (invoke, manage) plus the buffer.
 // Trivially-copyable captures — the overwhelmingly common case: lambdas over
 // pointers, ids and PODs — set manage == nullptr, making moves a memcpy and
 // destruction a no-op, with no indirect call. Non-trivial captures get a
-// manage thunk that move-constructs + destroys. Captures larger than the
-// buffer fall back to a single heap box (the buffer then holds one pointer);
-// a static_assert caps how large such a capture may get so an accidentally
-// huge capture is a compile error, not a silent slow path.
+// manage thunk that move-constructs + destroys.
 template <typename Sig>
 class InlineFunction;
 
@@ -37,37 +40,31 @@ class InlineFunction<R(Args...)> {
  public:
   // Large enough for `this` + a 32-bit packet handle + a queue id + a
   // timestamp plus slack — the biggest capture on the per-packet and
-  // per-event paths since the packet arena replaced by-value IoPacket
-  // captures. Bench + tests assert the hot-path captures stay inline; bump
-  // deliberately if a new hot capture outgrows it.
+  // per-event paths. Tests assert the hot-path captures fit; bump
+  // deliberately if a new capture outgrows it.
   static constexpr size_t kInlineBytes = 48;
-  // Oversized captures heap-box, but past this they are almost certainly a
-  // bug (accidentally capturing a container by value).
-  static constexpr size_t kMaxCallableBytes = 1024;
+
+  // Whether a capture of type D can be stored; nothing else converts.
+  template <typename D>
+  static constexpr bool FitsInline() {
+    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
 
   InlineFunction() noexcept = default;
   InlineFunction(std::nullptr_t) noexcept {}  // NOLINT: mirror std::function.
 
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, InlineFunction> &&
-                                        std::is_invocable_r_v<R, D&, Args...>>>
+                                        std::is_invocable_r_v<R, D&, Args...> &&
+                                        FitsInline<D>()>>
   InlineFunction(F&& f) {  // NOLINT: implicit, lambdas convert at call sites.
-    static_assert(sizeof(D) <= kMaxCallableBytes,
-                  "callback capture is implausibly large; capture by pointer");
-    if constexpr (FitsInline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      invoke_ = [](void* p, Args... args) -> R {
-        return (*static_cast<D*>(p))(std::forward<Args>(args)...);
-      };
-      if constexpr (!TriviallyManaged<D>()) {
-        manage_ = &InlineManage<D>;
-      }
-    } else {
-      Boxed(buf_) = new D(std::forward<F>(f));
-      invoke_ = [](void* p, Args... args) -> R {
-        return (*static_cast<D*>(Boxed(p)))(std::forward<Args>(args)...);
-      };
-      manage_ = &HeapManage<D>;
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    invoke_ = [](void* p, Args... args) -> R {
+      return (*static_cast<D*>(p))(std::forward<Args>(args)...);
+    };
+    if constexpr (!TriviallyManaged<D>()) {
+      manage_ = &InlineManage<D>;
     }
   }
 
@@ -104,17 +101,9 @@ class InlineFunction<R(Args...)> {
   using ManageFn = void (*)(void* dst, void* src);
 
   template <typename D>
-  static constexpr bool FitsInline() {
-    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
-  template <typename D>
   static constexpr bool TriviallyManaged() {
     return std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>;
   }
-
-  // The heap-box pointer lives at the front of the buffer.
-  static void*& Boxed(void* buf) { return *static_cast<void**>(buf); }
 
   template <typename D>
   static void InlineManage(void* dst, void* src) {
@@ -123,15 +112,6 @@ class InlineFunction<R(Args...)> {
       ::new (dst) D(std::move(*s));
     }
     s->~D();
-  }
-
-  template <typename D>
-  static void HeapManage(void* dst, void* src) {
-    if (dst != nullptr) {
-      Boxed(dst) = Boxed(src);  // Transfer the box; no reallocation.
-    } else {
-      delete static_cast<D*>(Boxed(src));
-    }
   }
 
   void MoveFrom(InlineFunction& other) noexcept {

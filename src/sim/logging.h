@@ -52,7 +52,6 @@ void Logf(LogLevel level, SimTime now, const char* fmt, ...) __attribute__((form
 #define TAICHI_TRACE(now, ...) TAICHI_LOG(::taichi::sim::LogLevel::kTrace, now, __VA_ARGS__)
 #define TAICHI_DEBUG(now, ...) TAICHI_LOG(::taichi::sim::LogLevel::kDebug, now, __VA_ARGS__)
 #define TAICHI_INFO(now, ...) TAICHI_LOG(::taichi::sim::LogLevel::kInfo, now, __VA_ARGS__)
-#define TAICHI_WARN(now, ...) TAICHI_LOG(::taichi::sim::LogLevel::kWarn, now, __VA_ARGS__)
 #define TAICHI_ERROR(now, ...) TAICHI_LOG(::taichi::sim::LogLevel::kError, now, __VA_ARGS__)
 
 #endif  // SRC_SIM_LOGGING_H_

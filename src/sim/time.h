@@ -31,7 +31,6 @@ constexpr Duration Seconds(uint64_t n) { return n * kSecond; }
 // Fractional constructors, useful for calibration constants such as 2.7 us.
 constexpr Duration MicrosF(double us) { return static_cast<Duration>(us * 1e3); }
 constexpr Duration MillisF(double ms) { return static_cast<Duration>(ms * 1e6); }
-constexpr Duration SecondsF(double s) { return static_cast<Duration>(s * 1e9); }
 
 // Conversions to floating-point values of the named unit.
 constexpr double ToMicros(Duration d) { return static_cast<double>(d) / 1e3; }

@@ -39,11 +39,9 @@ class IpiOrchestrator : public os::IpiRouter {
   // Reissues IPIs that were pending when `vcpu` VM-exited with kIpiSend.
   // Called by the vCPU scheduler from its exit handler.
   void FlushPendingFrom(os::CpuId vcpu);
-  bool HasPendingFrom(os::CpuId vcpu) const { return pending_reissue_.contains(vcpu); }
 
   uint64_t routed() const { return routed_.value(); }
   uint64_t vcpu_source_exits() const { return vcpu_source_exits_.value(); }
-  uint64_t posted_injections() const { return posted_injections_.value(); }
   uint64_t sleeping_vcpu_wakes() const { return sleeping_vcpu_wakes_.value(); }
 
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }

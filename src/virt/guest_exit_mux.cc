@@ -31,6 +31,4 @@ void GuestExitMux::Register(os::CpuId vcpu, GuestController* controller) {
   controllers_[vcpu] = controller;
 }
 
-void GuestExitMux::Unregister(os::CpuId vcpu) { controllers_.erase(vcpu); }
-
 }  // namespace taichi::virt

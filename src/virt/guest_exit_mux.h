@@ -26,7 +26,6 @@ class GuestExitMux {
 
   // Routes events for `vcpu` to `controller` (not owned).
   void Register(os::CpuId vcpu, GuestController* controller);
-  void Unregister(os::CpuId vcpu);
 
   // Emits a "guest_exit" dispatch instant per routed exit.
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }

@@ -227,5 +227,99 @@ TEST(TestbedTest, MixedBurstKeepsPerPacketDeliveryOrder) {
   EXPECT_EQ(bed.machine().pool().in_use(), 0u);
 }
 
+TEST(TestbedTest, DelayedVmReplyWaitsInTheArena) {
+  // A VM sink hands its reply back `d` after the call. The reply takes its
+  // arena slot at the call and holds it through the hand-over; it reaches
+  // the accelerator at call + d + pcie_dma_cost, stamped created = call + d.
+  Testbed bed(BaseConfig(Mode::kBaseline));
+  constexpr uint16_t kOwner = 7;
+  const sim::Duration d = sim::Micros(5);
+  sim::PacketPool& pool = bed.machine().pool();
+  sim::SimTime call = 0;
+  size_t slots_before = 0;
+  size_t slots_after = 0;
+  size_t slots_mid_handover = 0;
+  bed.RegisterVmSink(kOwner, [&](const hw::IoPacket& pkt, sim::SimTime now) {
+    call = now;
+    hw::IoPacket reply = pkt;
+    reply.kind = hw::IoKind::kNetTx;
+    reply.created = 0;
+    slots_before = pool.in_use();
+    bed.InjectFromVm(reply, d);
+    slots_after = pool.in_use();
+    bed.sim().Schedule(d / 2, [&] { slots_mid_handover = pool.in_use(); });
+  });
+  int replies = 0;
+  bed.RegisterWireSink(kOwner, [&](const hw::IoPacket&, sim::SimTime) { ++replies; });
+  sim::SimTime reply_ingress = 0;
+  sim::SimTime reply_created = 0;
+  bed.SetIngressTap([&](uint32_t, const hw::IoPacket& pkt) {
+    if (pkt.kind == hw::IoKind::kNetTx) {
+      reply_ingress = bed.sim().Now();
+      reply_created = pkt.created;
+    }
+  });
+
+  hw::IoPacket request;
+  request.id = 1;
+  request.kind = hw::IoKind::kNetRx;
+  request.user_tag = Testbed::Tag(kOwner, 1);
+  bed.InjectFromWire(request);
+  bed.sim().RunFor(sim::Millis(1));
+
+  ASSERT_GT(call, 0u);
+  EXPECT_EQ(slots_after, slots_before + 1);
+  EXPECT_EQ(slots_mid_handover, 1u);  // The request is freed; the reply waits.
+  EXPECT_EQ(reply_ingress, call + d + bed.config().pcie_dma_cost);
+  EXPECT_EQ(reply_created, call + d);
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(pool.in_use(), 0u);
+}
+
+TEST(TestbedTest, FullArenaShedsEveryInjectionLegAsOnePoolDrop) {
+  // With every arena slot taken, each leg sheds its packet at the call: one
+  // pool drop that also counts as ingressed, and no sink ever sees it.
+  TestbedConfig cfg = BaseConfig(Mode::kBaseline);
+  cfg.packet_pool_capacity = 4;
+  Testbed bed(cfg);
+  constexpr uint16_t kOwner = 7;
+  int delivered = 0;
+  auto count = [&](const hw::IoPacket&, sim::SimTime) { ++delivered; };
+  bed.RegisterVmSink(kOwner, count);
+  bed.RegisterWireSink(kOwner, count);
+  bed.RegisterStorageSink(kOwner, count);
+  sim::PacketPool& pool = bed.machine().pool();
+  while (pool.Alloc(hw::IoPacket{}) != sim::kInvalidPacketHandle) {
+  }
+  ASSERT_EQ(pool.in_use(), pool.capacity());
+
+  const hw::Accelerator& accel = bed.machine().accelerator();
+  const sim::Duration d = sim::Micros(5);
+  auto packet = [&](hw::IoKind kind) {
+    hw::IoPacket pkt;
+    pkt.kind = kind;
+    pkt.user_tag = Testbed::Tag(kOwner, 1);
+    return pkt;
+  };
+  bed.InjectFromWire(packet(hw::IoKind::kNetRx));
+  EXPECT_EQ(accel.pool_drops(), 1u);
+  bed.InjectFromVm(packet(hw::IoKind::kNetTx));
+  EXPECT_EQ(accel.pool_drops(), 2u);
+  bed.InjectFromVm(packet(hw::IoKind::kNetTx), d);
+  EXPECT_EQ(accel.pool_drops(), 3u);
+  bed.Inject(packet(hw::IoKind::kBlockIo), d);
+  EXPECT_EQ(accel.pool_drops(), 4u);
+  bed.Inject(packet(hw::IoKind::kBlockIo));
+  EXPECT_EQ(accel.pool_drops(), 5u);
+  EXPECT_EQ(accel.packets_ingressed(), 5u);
+
+  bed.sim().RunFor(sim::Millis(1));
+  EXPECT_EQ(accel.pool_drops(), 5u);
+  EXPECT_EQ(accel.packets_ingressed(), 5u);
+  EXPECT_EQ(accel.packets_published(), 0u);
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(pool.in_use(), pool.capacity());
+}
+
 }  // namespace
 }  // namespace taichi::exp

@@ -134,27 +134,5 @@ TEST_F(VirtTest, MuxHaltRouting) {
   EXPECT_FALSE(kernel_->cpu_backed(v));
 }
 
-TEST_F(VirtTest, UnregisterStopsRouting) {
-  GuestExitMux mux(kernel_.get());
-  VcpuPool pool(kernel_.get(), 1);
-  pool.OnlineAll();
-  sim_.RunFor(sim::Millis(1));
-  os::CpuId v = pool.vcpus()[0].cpu;
-  RecordingController controller;
-  controller.kernel = kernel_.get();
-  mux.Register(v, &controller);
-  mux.Unregister(v);
-
-  kernel_->Spawn("w",
-                 std::make_unique<os::LoopBehavior>(std::vector<os::Action>{
-                     os::Action::Compute(sim::Millis(1))}),
-                 os::CpuSet::Of({v}));
-  kernel_->EnterGuest(0, v);
-  sim_.RunFor(sim::Micros(100));
-  kernel_->ExitGuest(0, os::GuestExitReason::kForced);
-  sim_.RunFor(sim::Micros(100));
-  EXPECT_TRUE(controller.exits.empty());
-}
-
 }  // namespace
 }  // namespace taichi::virt
