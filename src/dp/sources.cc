@@ -19,6 +19,8 @@ constexpr uint32_t kMaxTabulatedFlows = uint32_t{1} << 16;
 constexpr double kMinTabulatedSkew = 0.01;
 // Far outside [0, 2^53) so that k - steps_[i] cannot overflow.
 constexpr int64_t kSentinel = int64_t{1} << 62;
+constexpr int kBucketShift = 53 - ZipfRanks::kBucketBits;
+constexpr uint64_t kLastBucket = (uint64_t{1} << ZipfRanks::kBucketBits) - 1;
 
 uint64_t DrawSalt(const OpenLoopConfig& c) {
   if (c.attack_sources > 0) {
@@ -46,6 +48,17 @@ ZipfRanks::ZipfRanks(uint32_t flow_count, double skew)
     steps_.push_back(std::llround(std::ldexp(u, 53)));
   }
   steps_.push_back(kSentinel);
+  // Steps never decrease, so one sweep finds every bucket edge's last step;
+  // the +inf sentinel stops it.
+  bucket_steps_.resize(kLastBucket + 2);
+  uint32_t i = 0;
+  for (uint64_t b = 0; b < bucket_steps_.size(); ++b) {
+    const int64_t edge = static_cast<int64_t>(b << kBucketShift);
+    while (steps_[i + 1] <= edge) {
+      ++i;
+    }
+    bucket_steps_[b] = i;
+  }
 }
 
 std::shared_ptr<const ZipfRanks> ZipfRanks::Shared(uint32_t flow_count, double skew) {
@@ -73,11 +86,14 @@ uint64_t ZipfRanks::Rank(uint64_t draw) const {
   if (steps_.empty()) {
     return FormulaRank(draw, flow_count_, skew_);
   }
-  // Find the last step <= k. steps_[0] (-inf) always qualifies and the +inf
-  // sentinel never does, so base[0] and base[1] bracket k.
+  // Find the last step <= k. It lies between the last steps at or below the
+  // two edges of k's bucket, so base[0] and base[1] bracket k. (A draw past
+  // 2^53 searches the last bucket, whose upper edge's step is the last real
+  // one: the whole table would find the same step.)
   const int64_t k = static_cast<int64_t>(draw);
-  const int64_t* base = steps_.data();
-  size_t len = steps_.size();
+  const uint64_t b = std::min(draw >> kBucketShift, kLastBucket);
+  const int64_t* base = steps_.data() + bucket_steps_[b];
+  size_t len = bucket_steps_[b + 1] - bucket_steps_[b] + 1;
   while (len > 1) {
     const size_t half = len / 2;
     base = base[half] <= k ? base + half : base;

@@ -69,7 +69,11 @@ struct OpenLoopConfig {
 // k_j = 2^53 * (ln(j+1) / ln N)^(1/s). Rank() looks k up among the tabulated
 // steps instead of calling pow twice, and falls back to the formula within
 // kGuard draw units of any step, so it returns exactly what the formula
-// would.
+// would. The lookup starts from a bucket index: the draw range splits into
+// 2^kBucketBits equal buckets, and for each bucket edge the table keeps the
+// last step at or below it, so a draw's binary search runs only over the
+// steps between its bucket's two edges (one or two at N = 256, where a search
+// of the whole table takes nine probes).
 //
 // Why kGuard = 2^20 suffices: each pow is within 1 ulp, so the computed
 // N^(u^s) is within about 2^-47 (relative) of the true value (ln N < 23).
@@ -82,6 +86,8 @@ struct OpenLoopConfig {
 class ZipfRanks {
  public:
   static constexpr int64_t kGuard = int64_t{1} << 20;
+  // Buckets of 2^(53 - kBucketBits) draws; the index takes 16 KiB.
+  static constexpr int kBucketBits = 12;
 
   // The immutable table for (flow_count, skew), shared by every holder:
   // built by the first caller, freed with the last holder. Thread-safe.
@@ -101,6 +107,9 @@ class ZipfRanks {
   // -inf sentinel, k_1 .. k_{N-1}, +inf sentinel; empty when Rank() always
   // uses the formula.
   std::vector<int64_t> steps_;
+  // 2^kBucketBits + 1 entries: entry b is the index in steps_ of the last
+  // step at or below b * 2^(53 - kBucketBits). Empty with steps_.
+  std::vector<uint32_t> bucket_steps_;
 };
 
 class OpenLoopSource {

@@ -24,21 +24,34 @@ sketch::SpaceSavingConfig TopkConfig(const FlowMonitorConfig& c) {
 FlowMonitor::FlowMonitor(const FlowMonitorConfig& config)
     : cms_(CmsConfig(config)), hll_(HllConfig(config)), topk_(TopkConfig(config)) {}
 
-void FlowMonitor::OnPacket(const FlowKey& key, uint32_t bytes) {
-  const sketch::CountMinSketch::Estimate est = cms_.Update(key, bytes);
-  // A key the heavy-hitter table already tracks is in the HLL already: an
-  // earlier OnPacket observed it when it was admitted, or it arrived by
-  // Merge, which also took the register-wise max with the sender's HLL.
-  // Observing it again could not raise a register.
-  if (!topk_.Update(key, bytes, est.bytes, est.packets)) {
-    hll_.Observe(key);
+void FlowMonitor::Flush() const {
+  // Two passes: hash every logged key once and prefetch its count-min cells,
+  // so the batch's cache misses overlap; then apply each packet in order.
+  sketch::HashPair hashes[kBatch];
+  for (uint32_t i = 0; i < logged_; ++i) {
+    hashes[i] = cms_.Hash(log_[i].key);
+    cms_.Prefetch(hashes[i]);
   }
+  for (uint32_t i = 0; i < logged_; ++i) {
+    const Logged& p = log_[i];
+    const sketch::CountMinSketch::Estimate est = cms_.Update(hashes[i], p.bytes);
+    // A key the heavy-hitter table already tracks is in the HLL already: an
+    // earlier packet observed it when it was admitted, or it arrived by
+    // Merge, which also took the register-wise max with the sender's HLL.
+    // Observing it again could not raise a register.
+    if (!topk_.Update(p.key, hashes[i], p.bytes, est.bytes, est.packets)) {
+      hll_.Observe(p.key);
+    }
+  }
+  logged_ = 0;
 }
 
 bool FlowMonitor::Merge(const FlowMonitor& other) {
   if (!Compatible(other)) {
     return false;  // Sub-sketch Merge would log; refuse atomically up front.
   }
+  Flush();
+  other.Flush();
   bool ok = cms_.Merge(other.cms_);
   ok = hll_.Merge(other.hll_) && ok;
   ok = topk_.Merge(other.topk_) && ok;
@@ -52,15 +65,15 @@ void FlowMonitor::RegisterMetrics(MetricsRegistry& registry,
   registry.AddCounterFn(prefix + "total_bytes", [this] { return total_bytes(); });
   registry.AddGauge(prefix + "cms_epsilon", [this] { return cms_.epsilon(); });
   registry.AddCounterFn(prefix + "heavy_evictions",
-                        [this] { return topk_.evictions(); });
+                        [this] { return topk().evictions(); });
 }
 
 std::string FlowMonitor::ToJson(size_t k) const {
   std::string out = "{";
-  out += "\"cms\": " + cms_.ToJson();
-  out += ", \"hll\": " + hll_.ToJson();
+  out += "\"cms\": " + cms().ToJson();
+  out += ", \"hll\": " + hll().ToJson();
   out += ", \"top\": [";
-  const std::vector<sketch::SpaceSaving::Entry> top = topk_.TopK(k);
+  const std::vector<sketch::SpaceSaving::Entry> top = TopK(k);
   for (size_t i = 0; i < top.size(); ++i) {
     if (i != 0) {
       out += ", ";

@@ -11,9 +11,18 @@
 // adds summary buckets: count-min cells add, HLL registers max, the
 // heavy-hitter tables union-and-truncate. The fleet::SloMonitor hotspot
 // reports read the merged result to name the flows behind each breach.
+//
+// OnPacket only logs the packet; the sketches see the log kBatch packets at
+// a time, in arrival order, when it fills and before any read. Every read
+// (the accessors, the estimators, Merge on both sides, ToJson and the
+// registered gauges) applies the log first, so it sees exactly the state
+// per-packet updates would have left. A read may therefore write: a monitor
+// is read only by the thread that steps its node, or by anyone after the
+// epoch barrier — never while its node is stepping on another thread.
 #ifndef SRC_OBS_FLOW_MONITOR_H_
 #define SRC_OBS_FLOW_MONITOR_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,26 +51,39 @@ class FlowMonitor {
  public:
   explicit FlowMonitor(const FlowMonitorConfig& config);
 
-  // Records one packet. O(cms_depth + log topk_capacity), allocation-free.
-  // Each sketch hashes the key once under its own seed; the count-min update
-  // hands its post-update estimate straight to the heavy-hitter filter, and
-  // the HLL sees only keys the heavy-hitter table does not already track.
-  void OnPacket(const FlowKey& key, uint32_t bytes);
+  // Records one packet: appends it to the log, and applies the log when
+  // that fills. Amortized O(cms_depth + log topk_capacity), allocation-free.
+  void OnPacket(const FlowKey& key, uint32_t bytes) {
+    log_[logged_] = {key, bytes};
+    if (++logged_ == kBatch) {
+      Flush();
+    }
+  }
 
   // Estimators.
-  double DistinctFlows() const { return hll_.Estimate(); }
-  uint64_t total_packets() const { return cms_.total_packets(); }
-  uint64_t total_bytes() const { return cms_.total_bytes(); }
+  double DistinctFlows() const { return hll().Estimate(); }
+  uint64_t total_packets() const { return cms().total_packets(); }
+  uint64_t total_bytes() const { return cms().total_bytes(); }
   std::vector<sketch::SpaceSaving::Entry> TopK(size_t k) const {
-    return topk_.TopK(k);
+    return topk().TopK(k);
   }
   sketch::CountMinSketch::Estimate Query(const FlowKey& key) const {
-    return cms_.Query(key);
+    return cms().Query(key);
   }
 
-  const sketch::CountMinSketch& cms() const { return cms_; }
-  const sketch::HyperLogLog& hll() const { return hll_; }
-  const sketch::SpaceSaving& topk() const { return topk_; }
+  // The sketches, with every logged packet applied.
+  const sketch::CountMinSketch& cms() const {
+    Flush();
+    return cms_;
+  }
+  const sketch::HyperLogLog& hll() const {
+    Flush();
+    return hll_;
+  }
+  const sketch::SpaceSaving& topk() const {
+    Flush();
+    return topk_;
+  }
 
   bool Compatible(const FlowMonitor& other) const {
     return cms_.Compatible(other.cms_) && hll_.Compatible(other.hll_) &&
@@ -83,9 +105,22 @@ class FlowMonitor {
   std::string ToJson(size_t k = 16) const;
 
  private:
-  sketch::CountMinSketch cms_;
-  sketch::HyperLogLog hll_;
-  sketch::SpaceSaving topk_;
+  // The DP burst size: one burst's taps fill the log about once.
+  static constexpr uint32_t kBatch = 32;
+
+  struct Logged {
+    FlowKey key;
+    uint32_t bytes = 0;
+  };
+
+  // Applies the logged packets in arrival order and empties the log.
+  void Flush() const;
+
+  mutable std::array<Logged, kBatch> log_;
+  mutable uint32_t logged_ = 0;
+  mutable sketch::CountMinSketch cms_;
+  mutable sketch::HyperLogLog hll_;
+  mutable sketch::SpaceSaving topk_;
 };
 
 }  // namespace taichi::obs

@@ -21,7 +21,7 @@ uint32_t RoundUpPow2(uint32_t v) {
 }  // namespace
 
 CountMinSketch::CountMinSketch(CountMinConfig config)
-    : config_(config), hash_(DeriveSeed(config.seed, /*tag=*/0xc35)) {
+    : config_(config), hash_(DeriveSeed(config.seed, kCountMinTag)) {
   if (config_.width < 2) {
     TAICHI_ERROR(0, "cms: width %u is degenerate, clamping to 2", config_.width);
     config_.width = 2;
@@ -30,27 +30,31 @@ CountMinSketch::CountMinSketch(CountMinConfig config)
     TAICHI_ERROR(0, "cms: depth %u is degenerate, clamping to 1", config_.depth);
     config_.depth = 1;
   }
+  if (config_.depth > kMaxDepth) {
+    TAICHI_ERROR(0, "cms: depth %u exceeds %u, clamping", config_.depth, kMaxDepth);
+    config_.depth = kMaxDepth;
+  }
   width_ = RoundUpPow2(config_.width);
   mask_ = width_ - 1;
   cells_.resize(static_cast<size_t>(width_) * config_.depth);
 }
 
-CountMinSketch::Estimate CountMinSketch::Update(const FlowKey& key, uint32_t bytes) {
+CountMinSketch::Estimate CountMinSketch::Update(const HashPair& h, uint32_t bytes) {
   // Conservative update: read the current minima, then raise only the cells
   // that sit at (or below) minimum + increment. Cells inflated by other
   // flows are left alone, which is what keeps the overestimate small.
-  const HashPair h = hash_(key);
+  Cell* row_cells[kMaxDepth];
   uint64_t min_packets = UINT64_MAX;
   uint64_t min_bytes = UINT64_MAX;
   for (uint32_t row = 0; row < config_.depth; ++row) {
-    const Cell& c = cells_[CellIndex(h, row)];
-    min_packets = std::min(min_packets, c.packets);
-    min_bytes = std::min(min_bytes, c.bytes);
+    row_cells[row] = &cells_[CellIndex(h, row)];
+    min_packets = std::min(min_packets, row_cells[row]->packets);
+    min_bytes = std::min(min_bytes, row_cells[row]->bytes);
   }
   const uint64_t target_packets = min_packets + 1;
   const uint64_t target_bytes = min_bytes + bytes;
   for (uint32_t row = 0; row < config_.depth; ++row) {
-    Cell& c = cells_[CellIndex(h, row)];
+    Cell& c = *row_cells[row];
     c.packets = std::max(c.packets, target_packets);
     c.bytes = std::max(c.bytes, target_bytes);
   }

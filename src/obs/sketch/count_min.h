@@ -18,7 +18,10 @@
 //     exceeds the truth by more than (e/w)*L1 with probability < e^-depth.
 //
 // The update path is allocation-free and O(depth): all storage is laid out
-// at construction.
+// at construction. A caller that hashes the key itself (FlowMonitor, which
+// shares the pair with the heavy-hitter index) can prefetch the key's cells
+// with Prefetch() and update through Update(HashPair, ...) later, so a batch
+// of keys pays for its cache misses once, in parallel.
 #ifndef SRC_OBS_SKETCH_COUNT_MIN_H_
 #define SRC_OBS_SKETCH_COUNT_MIN_H_
 
@@ -32,12 +35,16 @@ namespace taichi::obs::sketch {
 
 struct CountMinConfig {
   uint32_t width = 4096;  // Counters per row; rounded up to a power of two.
-  uint32_t depth = 4;     // Hash rows.
+  uint32_t depth = 4;     // Hash rows; clamped to [1, kMaxDepth].
   uint64_t seed = 0x7a1c5eedULL;
 };
 
 class CountMinSketch {
  public:
+  // More rows than this buy nothing (failure probability e^-16) and would
+  // not fit Update's on-stack cell list.
+  static constexpr uint32_t kMaxDepth = 16;
+
   struct Estimate {
     uint64_t packets = 0;
     uint64_t bytes = 0;
@@ -50,10 +57,21 @@ class CountMinSketch {
 
   explicit CountMinSketch(CountMinConfig config);
 
-  // Counts one packet of `bytes` for `key` and returns the key's estimate
-  // after the update — what Query(key) would return next, without re-reading
-  // the cells. O(depth), allocation-free.
-  Estimate Update(const FlowKey& key, uint32_t bytes);
+  // The key's hash pair under this sketch's family (see kCountMinTag).
+  HashPair Hash(const FlowKey& key) const { return hash_(key); }
+
+  // Prefetches, for writing, the `depth` cells Update(h, ...) will touch.
+  void Prefetch(const HashPair& h) const {
+    for (uint32_t row = 0; row < config_.depth; ++row) {
+      __builtin_prefetch(&cells_[CellIndex(h, row)], /*rw=*/1);
+    }
+  }
+
+  // Counts one packet of `bytes` for the key hashed to `h` and returns the
+  // key's estimate after the update — what Query(key) would return next,
+  // without re-reading the cells. O(depth), allocation-free.
+  Estimate Update(const HashPair& h, uint32_t bytes);
+  Estimate Update(const FlowKey& key, uint32_t bytes) { return Update(hash_(key), bytes); }
 
   // Point query: an upper bound on the flow's true packet/byte counts.
   Estimate Query(const FlowKey& key) const;

@@ -58,6 +58,10 @@ inline uint64_t DeriveSeed(uint64_t base, uint64_t tag) {
   return Mix64(base ^ Mix64(tag));
 }
 
+// The count-min family's tag. The heavy-hitter index takes its home slots
+// from the same family, so one pair per packet serves both sketches.
+inline constexpr uint64_t kCountMinTag = 0xc35;
+
 }  // namespace taichi::obs::sketch
 
 #endif  // SRC_OBS_SKETCH_SKETCH_HASH_H_

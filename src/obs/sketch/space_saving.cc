@@ -27,7 +27,7 @@ bool ReportGreater(const SpaceSaving::Entry& a, const SpaceSaving::Entry& b) {
 }  // namespace
 
 SpaceSaving::SpaceSaving(SpaceSavingConfig config)
-    : config_(config), hash_(DeriveSeed(config.seed, /*tag=*/0x707)) {
+    : config_(config), hash_(DeriveSeed(config.seed, kCountMinTag)) {
   if (config_.capacity < 1) {
     TAICHI_ERROR(0, "space_saving: capacity %u is degenerate, clamping to 1",
                  config_.capacity);
@@ -46,10 +46,6 @@ bool SpaceSaving::HeapLess(const Entry& a, const Entry& b) const {
     return a.bytes < b.bytes;
   }
   return a.key < b.key;
-}
-
-uint32_t SpaceSaving::Home(const FlowKey& key) const {
-  return static_cast<uint32_t>(hash_(key).h2 & index_mask_);
 }
 
 void SpaceSaving::IndexInsert(const FlowKey& key, uint32_t home, uint32_t pos) {
@@ -122,9 +118,9 @@ void SpaceSaving::SiftDown(size_t pos) {
   }
 }
 
-bool SpaceSaving::Update(const FlowKey& key, uint32_t bytes, uint64_t est_bytes,
-                         uint64_t est_packets) {
-  const uint32_t home = Home(key);
+bool SpaceSaving::Update(const FlowKey& key, const HashPair& h, uint32_t bytes,
+                         uint64_t est_bytes, uint64_t est_packets) {
+  const uint32_t home = Home(h);
   for (size_t slot = home; index_[slot].pos != kEmpty; slot = (slot + 1) & index_mask_) {
     if (index_[slot].key == key) {
       const uint32_t pos = index_[slot].pos;
@@ -173,7 +169,7 @@ void SpaceSaving::Rebuild(std::vector<Entry> entries) {
   for (Entry& e : entries) {
     const size_t pos = live_++;
     entries_[pos] = e;
-    IndexInsert(e.key, Home(e.key), static_cast<uint32_t>(pos));
+    IndexInsert(e.key, Home(hash_(e.key)), static_cast<uint32_t>(pos));
     SiftUp(pos);
   }
 }

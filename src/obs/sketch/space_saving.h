@@ -50,10 +50,15 @@ class SpaceSaving {
   // Records `bytes` for `key`. `est_bytes`/`est_packets` are the flow's
   // current count-min estimates (including this packet); they seed the entry
   // on admission and gate eviction. Returns true if the key was already
-  // tracked (its entry grew), false if it was admitted or bounced. Hashes the
-  // key once; allocation-free.
-  bool Update(const FlowKey& key, uint32_t bytes, uint64_t est_bytes,
+  // tracked (its entry grew), false if it was admitted or bounced.
+  // Allocation-free. `h` is the key's count-min pair: the index is seeded
+  // like the count-min (kCountMinTag), so a caller that already hashed the
+  // key for the count-min passes the pair instead of hashing again.
+  bool Update(const FlowKey& key, const HashPair& h, uint32_t bytes, uint64_t est_bytes,
               uint64_t est_packets);
+  bool Update(const FlowKey& key, uint32_t bytes, uint64_t est_bytes, uint64_t est_packets) {
+    return Update(key, hash_(key), bytes, est_bytes, est_packets);
+  }
 
   // The top `k` tracked flows by bytes, descending, ties by key order.
   // Control-plane only (allocates the result vector).
@@ -95,7 +100,7 @@ class SpaceSaving {
   void Swap(size_t a, size_t b);
   void SiftUp(size_t pos);
   void SiftDown(size_t pos);
-  uint32_t Home(const FlowKey& key) const;
+  uint32_t Home(const HashPair& h) const { return static_cast<uint32_t>(h.h2 & index_mask_); }
   void IndexInsert(const FlowKey& key, uint32_t home, uint32_t pos);
   void IndexErase(size_t slot);
   void Rebuild(std::vector<Entry> entries);

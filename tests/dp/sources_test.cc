@@ -142,8 +142,8 @@ TEST_F(SourcesTest, SameSeedDeterministic) {
 }
 
 // ZipfRanks must return exactly the formula's rank: at every step and at
-// the edges of the guard band around it, at both ends of the draw range, and
-// on a long run of real flow-key draws.
+// the edges of the guard band around it, at every bucket edge of the index,
+// at both ends of the draw range, and on a long run of real flow-key draws.
 TEST(ZipfRanksTest, TableMatchesFormula) {
   constexpr int64_t kTop = (int64_t{1} << 53) - 1;
   constexpr int64_t g = ZipfRanks::kGuard;
@@ -174,6 +174,12 @@ TEST(ZipfRanksTest, TableMatchesFormula) {
           check(step - d);
           check(step + d);
         }
+      }
+      for (int64_t b = 0; b <= int64_t{1} << ZipfRanks::kBucketBits; ++b) {
+        const int64_t edge = b << (53 - ZipfRanks::kBucketBits);
+        check(edge - 1);
+        check(edge);
+        check(edge + 1);
       }
       EXPECT_EQ(mismatches, 0u) << "n " << n << " skew " << skew;
     }

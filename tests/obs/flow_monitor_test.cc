@@ -436,5 +436,143 @@ TEST(FlowMonitor, MatchesReferenceTapUnderEvictionsAndMerges) {
   EXPECT_GT(b.topk().evictions(), 100u);
 }
 
+// OnPacket logs packets and applies them 32 at a time, so every read must
+// apply the log first. Each case below takes a fresh monitor holding 45
+// packets, 13 of them still logged, and calls one read path first. Every
+// key is new and every packet heavier than the last, so the 13 move every
+// read: totals, cells, registers, heavy hitters and evictions.
+TEST(FlowMonitor, EveryReadSeesEveryLoggedPacket) {
+  FlowMonitorConfig cfg;
+  cfg.cms_width = 256;
+  cfg.hll_precision = 10;
+  cfg.topk_capacity = 16;
+  constexpr uint32_t kPackets = 45;
+  auto bytes_of = [](uint32_t i) { return 100 + 10 * i; };
+  auto fed = [&](uint32_t first_flow) {
+    FlowMonitor m(cfg);
+    for (uint32_t i = 0; i < kPackets; ++i) {
+      m.OnPacket(Key(first_flow + i), bytes_of(i));
+    }
+    return m;
+  };
+  auto fed_reference = [&](const FlowMonitor& shape, uint32_t first_flow) {
+    ReferenceMonitor ref(shape);
+    for (uint32_t i = 0; i < kPackets; ++i) {
+      ref.OnPacket(Key(first_flow + i), bytes_of(i));
+    }
+    return ref;
+  };
+  // An identically fed monitor whose log cms() applied: what every derived
+  // read must reproduce.
+  FlowMonitor flushed = fed(0);
+  flushed.cms();
+  const ReferenceMonitor ref = fed_reference(flushed, 0);
+  uint64_t total_bytes = 0;
+  for (uint32_t i = 0; i < kPackets; ++i) {
+    total_bytes += bytes_of(i);
+  }
+  {
+    SCOPED_TRACE("total_packets");
+    const FlowMonitor m = fed(0);
+    EXPECT_EQ(m.total_packets(), kPackets);
+    ref.ExpectSameAs(m);
+  }
+  {
+    SCOPED_TRACE("total_bytes");
+    const FlowMonitor m = fed(0);
+    EXPECT_EQ(m.total_bytes(), total_bytes);
+    ref.ExpectSameAs(m);
+  }
+  {
+    SCOPED_TRACE("DistinctFlows");
+    const FlowMonitor m = fed(0);
+    EXPECT_DOUBLE_EQ(m.DistinctFlows(), flushed.DistinctFlows());
+    ref.ExpectSameAs(m);
+  }
+  {
+    SCOPED_TRACE("Query");
+    const FlowMonitor m = fed(0);
+    const sketch::CountMinSketch::Estimate got = m.Query(Key(kPackets - 1));
+    const sketch::CountMinSketch::Estimate want = flushed.Query(Key(kPackets - 1));
+    EXPECT_GE(got.packets, 1u);
+    EXPECT_EQ(got.packets, want.packets);
+    EXPECT_EQ(got.bytes, want.bytes);
+    ref.ExpectSameAs(m);
+  }
+  {
+    SCOPED_TRACE("TopK");
+    const FlowMonitor m = fed(0);
+    const std::vector<sketch::SpaceSaving::Entry> got = m.TopK(4);
+    const std::vector<sketch::SpaceSaving::Entry> want = flushed.TopK(4);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].key, want[i].key) << i;
+      EXPECT_EQ(got[i].bytes, want[i].bytes) << i;
+    }
+    ref.ExpectSameAs(m);
+  }
+  {
+    SCOPED_TRACE("ToJson");
+    const FlowMonitor m = fed(0);
+    EXPECT_EQ(m.ToJson(), flushed.ToJson());
+    ref.ExpectSameAs(m);
+  }
+  {
+    SCOPED_TRACE("cms().cells()");
+    const FlowMonitor m = fed(0);
+    EXPECT_TRUE(m.cms().cells() == flushed.cms().cells());
+    ref.ExpectSameAs(m);
+  }
+  {
+    SCOPED_TRACE("hll().registers()");
+    const FlowMonitor m = fed(0);
+    EXPECT_TRUE(m.hll().registers() == flushed.hll().registers());
+    ref.ExpectSameAs(m);
+  }
+  {
+    SCOPED_TRACE("topk().evictions()");
+    const FlowMonitor m = fed(0);
+    EXPECT_EQ(m.topk().evictions(), flushed.topk().evictions());
+    EXPECT_EQ(m.topk().evictions(), kPackets - cfg.topk_capacity);
+    ref.ExpectSameAs(m);
+  }
+  const std::vector<std::string> gauges = {"flows.distinct_flows", "flows.total_packets",
+                                           "flows.total_bytes", "flows.cms_epsilon",
+                                           "flows.heavy_evictions"};
+  MetricsRegistry want_reg;
+  flushed.RegisterMetrics(want_reg, "flows.");
+  const MetricsSnapshot want = want_reg.Snapshot(0);
+  for (const std::string& name : gauges) {
+    // A registry holding only this gauge, so that its read is the first.
+    SCOPED_TRACE(name);
+    const FlowMonitor m = fed(0);
+    MetricsRegistry reg;
+    m.RegisterMetrics(reg, "flows.");
+    for (const std::string& other : gauges) {
+      if (other != name) {
+        reg.Remove(other);
+      }
+    }
+    const MetricsSnapshot got = reg.Snapshot(0);
+    ASSERT_NE(got.Find(name), nullptr);
+    EXPECT_EQ(got.Find(name)->value, want.Find(name)->value);
+    EXPECT_EQ(got.Find(name)->count, want.Find(name)->count);
+    ref.ExpectSameAs(m);
+  }
+  {
+    SCOPED_TRACE("Merge");
+    // B's flows overlap A's last 25, so the merged cells and heavy hitters
+    // depend on which packets each side applied before the merge.
+    FlowMonitor a = fed(0);
+    const FlowMonitor b = fed(20);
+    ASSERT_TRUE(a.Merge(b));
+    ReferenceMonitor ref_a = fed_reference(flushed, 0);
+    const ReferenceMonitor ref_b = fed_reference(flushed, 20);
+    ref_a.Merge(ref_b);
+    ref_a.ExpectSameAs(a);
+    ref_b.ExpectSameAs(b);
+  }
+}
+
 }  // namespace
 }  // namespace taichi::obs
