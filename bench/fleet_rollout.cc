@@ -228,16 +228,10 @@ int main(int argc, char** argv) {
   if (scenario_name == "diurnal") {
     scenario::DiurnalConfig dcfg;
     dcfg.load = mix.load;
-    dcfg.trough = 0.50;
-    dcfg.peak = 1.40;
     source = std::make_unique<scenario::DiurnalSource>(dcfg);
   } else if (scenario_name == "ddos") {
     scenario::DdosConfig acfg;
     acfg.load = mix.load;
-    acfg.targets = {0};
-    acfg.attackers = 12;
-    acfg.utilization = 0.50;
-    acfg.size_bytes = 512;
     acfg.start_after = sim::Millis(100);
     source = std::make_unique<scenario::DdosSource>(acfg);
   } else {

@@ -55,10 +55,6 @@ int main() {
   // Fig. 3 mix plus the spoofed flood at node00, armed for t=3.0 s.
   scenario::DdosConfig acfg;
   acfg.load = mix.load;
-  acfg.targets = {0};
-  acfg.attackers = 12;
-  acfg.utilization = 0.50;
-  acfg.size_bytes = 512;
   acfg.start_after = kFloodAt;
   scenario::DdosSource source(acfg);
 

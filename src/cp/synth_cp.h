@@ -34,7 +34,6 @@ class SynthCpBenchmark {
   void Launch(int concurrency, os::CpuSet cpus);
 
   bool AllDone() const { return done_ == launched_; }
-  int launched() const { return launched_; }
   int done() const { return done_; }
   // Per-task wall execution times, in milliseconds.
   const sim::Summary& exec_time_ms() const { return exec_time_ms_; }

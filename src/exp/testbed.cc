@@ -338,17 +338,17 @@ double Testbed::RateForUtilization(double utilization, uint32_t size_bytes) cons
   return utilization * 1e9 / per_packet_ns;
 }
 
-void Testbed::StartBackgroundLoad(double per_cpu_rate_pps, uint32_t size_bytes,
-                                  dp::OpenLoopConfig::Process process) {
+void Testbed::StartBackgroundSources(
+    uint32_t size_bytes, uint64_t seed_stride,
+    sim::FunctionRef<void(size_t, dp::OpenLoopConfig&)> shape) {
   RegisterVmSink(kBackgroundOwner, [this](const hw::IoPacket& pkt, sim::SimTime t) {
     size_t idx = pkt.flow % background_.size();
     background_[idx]->OnDelivered(pkt, t);
   });
   for (size_t i = 0; i < active_dp_cpus_.size(); ++i) {
     dp::OpenLoopConfig ocfg;
-    ocfg.rate_pps = per_cpu_rate_pps;
+    shape(i, ocfg);
     ocfg.size_bytes = size_bytes;
-    ocfg.process = process;
     ocfg.kind = hw::IoKind::kNetRx;
     ocfg.flow = i;
     ocfg.flow_count = config_.background_flow_count;
@@ -357,7 +357,7 @@ void Testbed::StartBackgroundLoad(double per_cpu_rate_pps, uint32_t size_bytes,
     ocfg.user_tag = Tag(kBackgroundOwner, i);
     auto src = std::make_unique<dp::OpenLoopSource>(&sim_, &machine_->accelerator(),
                                                     queues_[i], ocfg,
-                                                    config_.seed * 77 + i);
+                                                    config_.seed * seed_stride + i);
     src->Start();
     if (obs_ != nullptr) {
       src->RegisterMetrics(obs_->metrics, "src" + std::to_string(background_.size()));
@@ -365,6 +365,14 @@ void Testbed::StartBackgroundLoad(double per_cpu_rate_pps, uint32_t size_bytes,
     background_base_pps_.push_back(ocfg.rate_pps);
     background_.push_back(std::move(src));
   }
+}
+
+void Testbed::StartBackgroundLoad(double per_cpu_rate_pps, uint32_t size_bytes,
+                                  dp::OpenLoopConfig::Process process) {
+  StartBackgroundSources(size_bytes, 77, [&](size_t, dp::OpenLoopConfig& ocfg) {
+    ocfg.rate_pps = per_cpu_rate_pps;
+    ocfg.process = process;
+  });
 }
 
 void Testbed::StartBackgroundBurstyLoad(double avg_utilization, uint32_t size_bytes) {
@@ -378,40 +386,17 @@ void Testbed::StartBackgroundBurstyLoadPerCpu(const std::vector<double>& utils,
   // burst duty cycle is chosen per CPU to hit its requested average.
   constexpr double kCalmUtil = 0.01;
   constexpr double kBurstUtil = 0.90;
-  RegisterVmSink(kBackgroundOwner, [this](const hw::IoPacket& pkt, sim::SimTime t) {
-    size_t idx = pkt.flow % background_.size();
-    background_[idx]->OnDelivered(pkt, t);
-  });
   const sim::Duration burst_mean = sim::Millis(2);
-  for (size_t i = 0; i < active_dp_cpus_.size(); ++i) {
+  StartBackgroundSources(size_bytes, 91, [&](size_t i, dp::OpenLoopConfig& ocfg) {
     double util = utils[std::min(i, utils.size() - 1)];
     double duty = std::clamp((util - kCalmUtil) / (kBurstUtil - kCalmUtil), 0.0, 1.0);
-    const sim::Duration calm_mean =
-        duty > 0 ? static_cast<sim::Duration>(burst_mean * (1.0 - duty) / duty)
-                 : sim::Seconds(1000);
-    dp::OpenLoopConfig ocfg;
     ocfg.rate_pps = RateForUtilization(kCalmUtil, size_bytes);
-    ocfg.size_bytes = size_bytes;
     ocfg.process = dp::OpenLoopConfig::Process::kMmpp;
     ocfg.burst_multiplier = kBurstUtil / kCalmUtil;
     ocfg.burst_mean = burst_mean;
-    ocfg.calm_mean = calm_mean;
-    ocfg.kind = hw::IoKind::kNetRx;
-    ocfg.flow = i;
-    ocfg.flow_count = config_.background_flow_count;
-    ocfg.flow_skew = config_.background_flow_skew;
-    ocfg.flow_salt = config_.background_flow_salt;
-    ocfg.user_tag = Tag(kBackgroundOwner, i);
-    auto src = std::make_unique<dp::OpenLoopSource>(&sim_, &machine_->accelerator(),
-                                                    queues_[i], ocfg,
-                                                    config_.seed * 91 + i);
-    src->Start();
-    if (obs_ != nullptr) {
-      src->RegisterMetrics(obs_->metrics, "src" + std::to_string(background_.size()));
-    }
-    background_base_pps_.push_back(ocfg.rate_pps);
-    background_.push_back(std::move(src));
-  }
+    ocfg.calm_mean = duty > 0 ? static_cast<sim::Duration>(burst_mean * (1.0 - duty) / duty)
+                              : sim::Seconds(1000);
+  });
 }
 
 void Testbed::StopBackgroundLoad() {

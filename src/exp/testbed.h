@@ -261,6 +261,12 @@ class Testbed {
   bool TaiChiQuiesced() const;
   void ScheduleDrainCheck();
   void FinishDisableTaiChi();
+  // The shared half of both background starts: registers the background VM
+  // sink, then builds, starts and registers one source per active DP CPU i,
+  // seeded config_.seed * seed_stride + i. `shape` sets CPU i's rate and
+  // process; the flow, owner tag and size are filled here.
+  void StartBackgroundSources(uint32_t size_bytes, uint64_t seed_stride,
+                              sim::FunctionRef<void(size_t, dp::OpenLoopConfig&)> shape);
   // The admission step of every injection leg (see Inject); returns
   // kInvalidPacketHandle for a pool drop.
   sim::PacketHandle Admit(hw::IoPacket pkt, sim::Duration handover);

@@ -142,7 +142,6 @@ class Autopilot : public scenario::NodeLifecycleListener {
 
   size_t windows() const { return window_; }
   double shed_factor() const { return shed_factor_; }
-  int healthy_streak() const { return healthy_streak_; }
   // Nodes currently running Tai Chi / their total vCPU count.
   int enabled_nodes() const;
   int enabled_vcpus() const;

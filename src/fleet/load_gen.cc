@@ -30,7 +30,6 @@ void LoadGen::Start() {
     return;
   }
   running_ = true;
-  node_utils_.assign(cluster_->size(), {});
   node_mixes_.assign(config_.aggregate.enabled ? cluster_->size() : 0, NodeMix{});
   arrival_events_.assign(cluster_->size(), sim::kInvalidEventId);
   for (size_t i = 0; i < cluster_->size(); ++i) {
@@ -40,8 +39,9 @@ void LoadGen::Start() {
 
 void LoadGen::StartNode(size_t node) {
   exp::Testbed& bed = cluster_->node(node);
-  std::vector<double>& utils = node_utils_[node];
-  utils.clear();
+  // The node's per-CPU average utilizations; in aggregate mode every CPU
+  // shares one entry.
+  std::vector<double> utils;
   if (config_.aggregate.enabled) {
     // Flow-aggregate path: the node's user population folds into one
     // aggregate rate + one flow count, modulated per node (one draw from the

@@ -89,10 +89,6 @@ class LoadGen : public scenario::TrafficSource {
   void Stop();
 
   bool running() const override { return running_; }
-  // The drawn per-CPU utilizations, node-major (inspection / reporting).
-  // A restarted node's entry reflects its newest incarnation's draws.
-  // In aggregate mode every CPU of a node shares one entry.
-  const std::vector<std::vector<double>>& node_utils() const { return node_utils_; }
 
   // Aggregate-mode per-node mix (empty when aggregate.enabled is false).
   struct NodeMix {
@@ -106,7 +102,6 @@ class LoadGen : public scenario::TrafficSource {
   // next arrival. Values <= 0 park arrivals on nodes whose next arrival
   // fires after the change; raising the rate re-arms parked nodes.
   void set_vm_rate(double per_sec);
-  double vm_rate() const { return config_.vm_arrival_rate_per_sec; }
 
   // --- scenario::TrafficSource ---
   const char* name() const override { return "fig3-mix"; }
@@ -142,7 +137,6 @@ class LoadGen : public scenario::TrafficSource {
   // One repeating arrival event per node, re-keyed with a fresh exponential
   // gap after each arrival (no per-arrival closure rebuild).
   std::vector<sim::EventId> arrival_events_;
-  std::vector<std::vector<double>> node_utils_;
   std::vector<NodeMix> node_mixes_;  // Aggregate mode only.
   std::vector<double> vm_scale_;  // Current per-node share (migration moves it).
   bool running_ = false;

@@ -1,7 +1,6 @@
 #include "src/scenario/generators.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "src/fleet/cluster.h"
@@ -9,16 +8,45 @@
 
 namespace taichi::scenario {
 
-// --- DiurnalSource -----------------------------------------------------------
+// --- Fig3Source --------------------------------------------------------------
 
-void DiurnalSource::Start(fleet::Cluster& cluster) {
+void Fig3Source::Start(fleet::Cluster& cluster) {
   if (gen_ != nullptr) {
-    TAICHI_ERROR(cluster.Now(), "diurnal: Start called twice");
+    TAICHI_ERROR(cluster.Now(), "%s: Start called twice", name());
     return;
   }
-  gen_ = std::make_unique<fleet::LoadGen>(&cluster, config_.load);
+  gen_ = std::make_unique<fleet::LoadGen>(&cluster, load_);
   gen_->Start();
-  base_vm_rate_ = config_.load.vm_arrival_rate_per_sec;
+  AfterStart(cluster);
+}
+
+void Fig3Source::Stop(fleet::Cluster& cluster) {
+  if (gen_ == nullptr) {
+    return;
+  }
+  BeforeStop(cluster);
+  gen_->Stop();
+}
+
+void Fig3Source::OnNodeCrash(fleet::Cluster& cluster, size_t node) {
+  if (gen_ == nullptr) {
+    return;
+  }
+  gen_->OnNodeCrash(cluster, node);
+  AfterCrash(cluster, node);
+}
+
+void Fig3Source::OnNodeRestart(fleet::Cluster& cluster, size_t node) {
+  if (gen_ == nullptr) {
+    return;
+  }
+  gen_->OnNodeRestart(cluster, node);
+  AfterRestart(cluster, node);
+}
+
+// --- DiurnalSource -----------------------------------------------------------
+
+void DiurnalSource::AfterStart(fleet::Cluster& cluster) {
   day_zero_ = cluster.Now();
   fleet::Cluster* cl = &cluster;
   hook_id_ = cluster.AddEpochHook([this, cl](sim::SimTime now) { Modulate(*cl, now); });
@@ -32,7 +60,7 @@ void DiurnalSource::Modulate(fleet::Cluster& cluster, sim::SimTime now) {
                    static_cast<double>(std::max<sim::Duration>(1, config_.period));
   // The day starts at the midpoint heading into the peak.
   factor_ = mid + amp * std::sin(2.0 * 3.14159265358979323846 * t);
-  gen_->set_vm_rate(base_vm_rate_ * factor_);
+  gen().set_vm_rate(config_.load.vm_arrival_rate_per_sec * factor_);
   for (size_t i = 0; i < cluster.size(); ++i) {
     if (cluster.alive(i)) {
       cluster.node(i).ScaleBackgroundLoad(factor_);
@@ -40,29 +68,16 @@ void DiurnalSource::Modulate(fleet::Cluster& cluster, sim::SimTime now) {
   }
 }
 
-void DiurnalSource::Stop(fleet::Cluster& cluster) {
-  if (gen_ == nullptr) {
-    return;
-  }
+void DiurnalSource::BeforeStop(fleet::Cluster& cluster) {
   if (hook_id_ != 0) {
     cluster.RemoveEpochHook(hook_id_);
     hook_id_ = 0;
   }
-  gen_->Stop();
 }
 
-void DiurnalSource::OnNodeCrash(fleet::Cluster& cluster, size_t node) {
-  if (gen_ != nullptr) {
-    gen_->OnNodeCrash(cluster, node);
-  }
-}
-
-void DiurnalSource::OnNodeRestart(fleet::Cluster& cluster, size_t node) {
-  if (gen_ != nullptr) {
-    gen_->OnNodeRestart(cluster, node);
-    // The fresh node rejoins the day at the current point of the curve.
-    cluster.node(node).ScaleBackgroundLoad(factor_);
-  }
+void DiurnalSource::AfterRestart(fleet::Cluster& cluster, size_t node) {
+  // The fresh node rejoins the day at the current point of the curve.
+  cluster.node(node).ScaleBackgroundLoad(factor_);
 }
 
 // --- IncastSource ------------------------------------------------------------
@@ -101,7 +116,6 @@ void IncastSource::BurstOn(fleet::Cluster& cluster) {
   if (!armed_) {
     return;
   }
-  ++bursts_;
   for (auto& src : senders_) {
     src->Start();
   }
@@ -122,13 +136,7 @@ void IncastSource::BurstOff(fleet::Cluster& cluster) {
                                                         : sim::Millis(1));
 }
 
-void IncastSource::Start(fleet::Cluster& cluster) {
-  if (gen_ != nullptr) {
-    TAICHI_ERROR(cluster.Now(), "incast: Start called twice");
-    return;
-  }
-  gen_ = std::make_unique<fleet::LoadGen>(&cluster, config_.load);
-  gen_->Start();
+void IncastSource::AfterStart(fleet::Cluster& cluster) {
   const size_t victim = static_cast<size_t>(config_.victim);
   if (config_.victim < 0 || victim >= cluster.size()) {
     TAICHI_ERROR(cluster.Now(), "incast: victim %d is not a node", config_.victim);
@@ -138,10 +146,7 @@ void IncastSource::Start(fleet::Cluster& cluster) {
   ScheduleBurst(cluster, config_.start_after);
 }
 
-void IncastSource::Stop(fleet::Cluster& cluster) {
-  if (gen_ == nullptr) {
-    return;
-  }
+void IncastSource::BeforeStop(fleet::Cluster& cluster) {
   armed_ = false;
   const size_t victim = static_cast<size_t>(config_.victim);
   if (victim < cluster.size() && cluster.alive(victim)) {
@@ -149,14 +154,9 @@ void IncastSource::Stop(fleet::Cluster& cluster) {
       src->Stop();
     }
   }
-  gen_->Stop();
 }
 
-void IncastSource::OnNodeCrash(fleet::Cluster& cluster, size_t node) {
-  if (gen_ == nullptr) {
-    return;
-  }
-  gen_->OnNodeCrash(cluster, node);
+void IncastSource::AfterCrash(fleet::Cluster&, size_t node) {
   if (node == static_cast<size_t>(config_.victim)) {
     // Sender objects hold pointers into the dying Testbed; the burst events
     // die with its simulation.
@@ -165,23 +165,11 @@ void IncastSource::OnNodeCrash(fleet::Cluster& cluster, size_t node) {
   }
 }
 
-void IncastSource::OnNodeRestart(fleet::Cluster& cluster, size_t node) {
-  if (gen_ == nullptr) {
-    return;
-  }
-  gen_->OnNodeRestart(cluster, node);
+void IncastSource::AfterRestart(fleet::Cluster& cluster, size_t node) {
   if (node == static_cast<size_t>(config_.victim)) {
     Build(cluster);
     ScheduleBurst(cluster, config_.start_after);
   }
-}
-
-uint64_t IncastSource::incast_packets() const {
-  uint64_t total = 0;
-  for (const auto& src : senders_) {
-    total += src->injected();
-  }
-  return total;
 }
 
 // --- DdosSource --------------------------------------------------------------
@@ -216,34 +204,20 @@ void DdosSource::ArmNode(fleet::Cluster& cluster, size_t node, sim::Duration del
         &bed.sim(), &bed.machine().accelerator(), static_cast<uint32_t>(q), ocfg,
         config_.load.seed ^ (0xdd050000ULL + node * 131 + q)));
   }
-  // Switch-on (and optional switch-off) run inside the victim's simulation.
+  // The switch-on runs inside the victim's simulation.
   std::vector<dp::OpenLoopSource*> raw;
   raw.reserve(sources.size());
   for (auto& src : sources) {
     raw.push_back(src.get());
   }
-  const sim::SimTime start = bed.sim().Now() + std::max<sim::Duration>(1, delay);
-  bed.sim().At(start, [raw] {
+  bed.sim().At(bed.sim().Now() + std::max<sim::Duration>(1, delay), [raw] {
     for (dp::OpenLoopSource* src : raw) {
       src->Start();
     }
   });
-  if (config_.duration > 0) {
-    bed.sim().At(start + config_.duration, [raw] {
-      for (dp::OpenLoopSource* src : raw) {
-        src->Stop();
-      }
-    });
-  }
 }
 
-void DdosSource::Start(fleet::Cluster& cluster) {
-  if (gen_ != nullptr) {
-    TAICHI_ERROR(cluster.Now(), "ddos: Start called twice");
-    return;
-  }
-  gen_ = std::make_unique<fleet::LoadGen>(&cluster, config_.load);
-  gen_->Start();
+void DdosSource::AfterStart(fleet::Cluster& cluster) {
   per_node_.clear();
   per_node_.resize(cluster.size());
   for (int t : config_.targets) {
@@ -257,10 +231,7 @@ void DdosSource::Start(fleet::Cluster& cluster) {
   }
 }
 
-void DdosSource::Stop(fleet::Cluster& cluster) {
-  if (gen_ == nullptr) {
-    return;
-  }
+void DdosSource::BeforeStop(fleet::Cluster& cluster) {
   for (size_t i = 0; i < per_node_.size(); ++i) {
     if (!cluster.alive(i)) {
       continue;
@@ -269,24 +240,15 @@ void DdosSource::Stop(fleet::Cluster& cluster) {
       src->Stop();
     }
   }
-  gen_->Stop();
 }
 
-void DdosSource::OnNodeCrash(fleet::Cluster& cluster, size_t node) {
-  if (gen_ == nullptr) {
-    return;
-  }
-  gen_->OnNodeCrash(cluster, node);
+void DdosSource::AfterCrash(fleet::Cluster&, size_t node) {
   if (node < per_node_.size()) {
     per_node_[node].clear();
   }
 }
 
-void DdosSource::OnNodeRestart(fleet::Cluster& cluster, size_t node) {
-  if (gen_ == nullptr) {
-    return;
-  }
-  gen_->OnNodeRestart(cluster, node);
+void DdosSource::AfterRestart(fleet::Cluster& cluster, size_t node) {
   if (IsTarget(node)) {
     // The attacker does not care that the victim rebooted.
     ArmNode(cluster, node, config_.start_after);
@@ -295,13 +257,7 @@ void DdosSource::OnNodeRestart(fleet::Cluster& cluster, size_t node) {
 
 // --- SurgeSource -------------------------------------------------------------
 
-void SurgeSource::Start(fleet::Cluster& cluster) {
-  if (gen_ != nullptr) {
-    TAICHI_ERROR(cluster.Now(), "surge: Start called twice");
-    return;
-  }
-  gen_ = std::make_unique<fleet::LoadGen>(&cluster, config_.load);
-  gen_->Start();
+void SurgeSource::AfterStart(fleet::Cluster& cluster) {
   applied_ = 1.0;
   hook_id_ = cluster.AddEpochHook([this](sim::SimTime now) { Modulate(now); });
 }
@@ -311,41 +267,15 @@ void SurgeSource::Modulate(sim::SimTime now) {
       (now >= config_.start && now < config_.start + config_.duration) ? config_.factor : 1.0;
   if (f != applied_) {
     applied_ = f;
-    gen_->set_vm_rate(config_.load.vm_arrival_rate_per_sec * f);
+    gen().set_vm_rate(config_.load.vm_arrival_rate_per_sec * f);
   }
 }
 
-void SurgeSource::Stop(fleet::Cluster& cluster) {
-  if (gen_ == nullptr) {
-    return;
-  }
+void SurgeSource::BeforeStop(fleet::Cluster& cluster) {
   if (hook_id_ != 0) {
     cluster.RemoveEpochHook(hook_id_);
     hook_id_ = 0;
   }
-  gen_->Stop();
-}
-
-void SurgeSource::OnNodeCrash(fleet::Cluster& cluster, size_t node) {
-  if (gen_ != nullptr) {
-    gen_->OnNodeCrash(cluster, node);
-  }
-}
-
-void SurgeSource::OnNodeRestart(fleet::Cluster& cluster, size_t node) {
-  if (gen_ != nullptr) {
-    gen_->OnNodeRestart(cluster, node);
-  }
-}
-
-uint64_t DdosSource::attack_packets() const {
-  uint64_t total = 0;
-  for (const auto& sources : per_node_) {
-    for (const auto& src : sources) {
-      total += src->injected();
-    }
-  }
-  return total;
 }
 
 }  // namespace taichi::scenario

@@ -1,8 +1,10 @@
-// Scripted traffic generators layered on the canonical Fig. 3 fleet mix.
+// The canonical Fig. 3 fleet mix and the scripted generators layered on it.
 //
-// Each generator is a TrafficSource that wraps a fleet::LoadGen (the
-// baseline production shape) and adds one adversarial or time-varying
-// dimension on top:
+// Fig3Source is the mix itself (the baseline named source) and the base of
+// every generator here: it alone owns the fleet::LoadGen and implements the
+// TrafficSource surface once — Start/Stop, running, live migration and the
+// crash/restart forwarding. Each generator adds one adversarial or
+// time-varying dimension in Fig3Source's protected hooks:
 //
 //   DiurnalSource  the whole fleet breathes: a sinusoidal day/night curve
 //                  scales both the DP packet rates and the VM-startup
@@ -18,6 +20,8 @@
 //                  as hotspots, and the sketch attribution names the
 //                  attacker flows — the end-to-end detection story the
 //                  scenario suite asserts.
+//   SurgeSource    a fleet-wide VM-arrival surge for a fixed window: the
+//                  overload the autopilot's graceful degradation absorbs.
 //
 // All extra per-node state (the attack/incast OpenLoopSources) is owned by
 // the generator but driven by events inside the victim node's simulation,
@@ -28,6 +32,7 @@
 #define SRC_SCENARIO_GENERATORS_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/fleet/load_gen.h"
@@ -41,42 +46,69 @@ namespace taichi::scenario {
 inline constexpr uint16_t kIncastOwner = 0x10ca;
 inline constexpr uint16_t kAttackOwner = 0xadd0;
 
+// --- Fig. 3 mix --------------------------------------------------------------
+
+// The baseline named source: the Fig. 3 mix and nothing else. Builds its
+// LoadGen at Start, so a spec can exist before its cluster does. A second
+// Start is refused with a TAICHI_ERROR naming the source.
+class Fig3Source : public TrafficSource {
+ public:
+  explicit Fig3Source(fleet::LoadGenConfig load) : load_(std::move(load)) {}
+
+  const char* name() const override { return "fig3-mix"; }
+  void Start(fleet::Cluster& cluster) final;
+  void Stop(fleet::Cluster& cluster) final;
+  bool running() const final { return gen_ != nullptr && gen_->running(); }
+
+  void OnNodeCrash(fleet::Cluster& cluster, size_t node) final;
+  void OnNodeRestart(fleet::Cluster& cluster, size_t node) final;
+  double VmShare(size_t node) const final { return gen_ ? gen_->VmShare(node) : 1.0; }
+  bool MigrateVmShare(size_t from, size_t to, double units) final {
+    return gen_ != nullptr && gen_->MigrateVmShare(from, to, units);
+  }
+
+ protected:
+  // What a generator adds: run after the mix started, before it stops, and
+  // after it handled a node crash or restart.
+  virtual void AfterStart(fleet::Cluster&) {}
+  virtual void BeforeStop(fleet::Cluster&) {}
+  virtual void AfterCrash(fleet::Cluster&, size_t) {}
+  virtual void AfterRestart(fleet::Cluster&, size_t) {}
+
+  // The running mix (valid from Start on).
+  fleet::LoadGen& gen() { return *gen_; }
+
+ private:
+  fleet::LoadGenConfig load_;
+  std::unique_ptr<fleet::LoadGen> gen_;
+};
+
 // --- Diurnal -----------------------------------------------------------------
 
 struct DiurnalConfig {
   fleet::LoadGenConfig load;
   sim::Duration period = sim::Millis(400);  // One simulated "day".
-  double trough = 0.40;                     // Load factor at the bottom...
-  double peak = 1.70;                       // ...and at the top of the day.
+  double trough = 0.50;                     // Load factor at the bottom...
+  double peak = 1.40;                       // ...and at the top of the day.
 };
 
-class DiurnalSource : public TrafficSource {
+class DiurnalSource : public Fig3Source {
  public:
-  explicit DiurnalSource(DiurnalConfig config) : config_(config) {}
+  explicit DiurnalSource(DiurnalConfig config) : Fig3Source(config.load), config_(config) {}
 
   const char* name() const override { return "diurnal"; }
-  void Start(fleet::Cluster& cluster) override;
-  void Stop(fleet::Cluster& cluster) override;
-  bool running() const override { return gen_ != nullptr && gen_->running(); }
 
-  void OnNodeCrash(fleet::Cluster& cluster, size_t node) override;
-  void OnNodeRestart(fleet::Cluster& cluster, size_t node) override;
-  double VmShare(size_t node) const override { return gen_ ? gen_->VmShare(node) : 1.0; }
-  bool MigrateVmShare(size_t from, size_t to, double units) override {
-    return gen_ != nullptr && gen_->MigrateVmShare(from, to, units);
-  }
-
-  // The current day/night factor (for reports).
-  double factor() const { return factor_; }
+ protected:
+  void AfterStart(fleet::Cluster& cluster) override;
+  void BeforeStop(fleet::Cluster& cluster) override;
+  void AfterRestart(fleet::Cluster& cluster, size_t node) override;
 
  private:
   void Modulate(fleet::Cluster& cluster, sim::SimTime now);
 
   DiurnalConfig config_;
-  std::unique_ptr<fleet::LoadGen> gen_;
-  double base_vm_rate_ = 0;
   sim::SimTime day_zero_ = 0;
-  double factor_ = 1.0;
+  double factor_ = 1.0;  // The current day/night factor.
   uint64_t hook_id_ = 0;
 };
 
@@ -94,24 +126,17 @@ struct IncastConfig {
   uint64_t flow_base = 0x10ca0000;
 };
 
-class IncastSource : public TrafficSource {
+class IncastSource : public Fig3Source {
  public:
-  explicit IncastSource(IncastConfig config) : config_(config) {}
+  explicit IncastSource(IncastConfig config) : Fig3Source(config.load), config_(config) {}
 
   const char* name() const override { return "incast"; }
-  void Start(fleet::Cluster& cluster) override;
-  void Stop(fleet::Cluster& cluster) override;
-  bool running() const override { return gen_ != nullptr && gen_->running(); }
 
-  void OnNodeCrash(fleet::Cluster& cluster, size_t node) override;
-  void OnNodeRestart(fleet::Cluster& cluster, size_t node) override;
-  double VmShare(size_t node) const override { return gen_ ? gen_->VmShare(node) : 1.0; }
-  bool MigrateVmShare(size_t from, size_t to, double units) override {
-    return gen_ != nullptr && gen_->MigrateVmShare(from, to, units);
-  }
-
-  uint64_t bursts() const { return bursts_; }
-  uint64_t incast_packets() const;
+ protected:
+  void AfterStart(fleet::Cluster& cluster) override;
+  void BeforeStop(fleet::Cluster& cluster) override;
+  void AfterCrash(fleet::Cluster& cluster, size_t node) override;
+  void AfterRestart(fleet::Cluster& cluster, size_t node) override;
 
  private:
   void Build(fleet::Cluster& cluster);
@@ -120,54 +145,48 @@ class IncastSource : public TrafficSource {
   void BurstOff(fleet::Cluster& cluster);
 
   IncastConfig config_;
-  std::unique_ptr<fleet::LoadGen> gen_;
   // Touched only by the victim node's thread once the run starts.
   std::vector<std::unique_ptr<dp::OpenLoopSource>> senders_;
   bool armed_ = false;
-  uint64_t bursts_ = 0;
 };
 
 // --- DDoS --------------------------------------------------------------------
 
+// The defaults are the one shape every caller floods with: one victim at
+// moderate intensity, so the victim's tail rises while the other nodes
+// anchor the fleet percentile — exactly the contrast the hotspot rule (node
+// tail > factor x fleet tail) keys on. Saturating many nodes makes the
+// victims BE the fleet tail and hides them.
 struct DdosConfig {
   fleet::LoadGenConfig load;
-  std::vector<int> targets = {0, 1};  // Attacked node indices.
-  uint32_t attackers = 12;            // Spoofed TEST-NET-2 source IPs.
+  std::vector<int> targets = {0};  // Attacked node indices.
+  uint32_t attackers = 12;         // Spoofed TEST-NET-2 source IPs.
   // Flood intensity per victim DP queue, as the DP utilization the flood
   // alone would consume. High enough and the donated idle Tai Chi feeds the
   // control plane with disappears on the victims.
-  double utilization = 0.70;
-  uint32_t size_bytes = 64;
-  sim::Duration start_after = sim::Millis(40);
-  sim::Duration duration = 0;  // 0 = flood until Stop().
+  double utilization = 0.50;
+  uint32_t size_bytes = 512;
+  sim::Duration start_after = sim::Millis(40);  // The flood runs until Stop().
   uint64_t flow_base = 0xdd05;  // One victim service endpoint.
 };
 
-class DdosSource : public TrafficSource {
+class DdosSource : public Fig3Source {
  public:
-  explicit DdosSource(DdosConfig config) : config_(std::move(config)) {}
+  explicit DdosSource(DdosConfig config) : Fig3Source(config.load), config_(std::move(config)) {}
 
   const char* name() const override { return "ddos"; }
-  void Start(fleet::Cluster& cluster) override;
-  void Stop(fleet::Cluster& cluster) override;
-  bool running() const override { return gen_ != nullptr && gen_->running(); }
 
-  void OnNodeCrash(fleet::Cluster& cluster, size_t node) override;
-  void OnNodeRestart(fleet::Cluster& cluster, size_t node) override;
-  double VmShare(size_t node) const override { return gen_ ? gen_->VmShare(node) : 1.0; }
-  bool MigrateVmShare(size_t from, size_t to, double units) override {
-    return gen_ != nullptr && gen_->MigrateVmShare(from, to, units);
-  }
-
-  // Packets the flood pushed into victim accelerators (all targets).
-  uint64_t attack_packets() const;
+ protected:
+  void AfterStart(fleet::Cluster& cluster) override;
+  void BeforeStop(fleet::Cluster& cluster) override;
+  void AfterCrash(fleet::Cluster& cluster, size_t node) override;
+  void AfterRestart(fleet::Cluster& cluster, size_t node) override;
 
  private:
   bool IsTarget(size_t node) const;
   void ArmNode(fleet::Cluster& cluster, size_t node, sim::Duration delay);
 
   DdosConfig config_;
-  std::unique_ptr<fleet::LoadGen> gen_;
   // per_node_[i] holds node i's flood sources (empty for non-targets);
   // events driving them live inside node i's simulation.
   std::vector<std::vector<std::unique_ptr<dp::OpenLoopSource>>> per_node_;
@@ -188,31 +207,21 @@ struct SurgeConfig {
   double factor = 5.0;
 };
 
-class SurgeSource : public TrafficSource {
+class SurgeSource : public Fig3Source {
  public:
-  explicit SurgeSource(SurgeConfig config) : config_(config) {}
+  explicit SurgeSource(SurgeConfig config) : Fig3Source(config.load), config_(config) {}
 
   const char* name() const override { return "surge"; }
-  void Start(fleet::Cluster& cluster) override;
-  void Stop(fleet::Cluster& cluster) override;
-  bool running() const override { return gen_ != nullptr && gen_->running(); }
 
-  void OnNodeCrash(fleet::Cluster& cluster, size_t node) override;
-  void OnNodeRestart(fleet::Cluster& cluster, size_t node) override;
-  double VmShare(size_t node) const override { return gen_ ? gen_->VmShare(node) : 1.0; }
-  bool MigrateVmShare(size_t from, size_t to, double units) override {
-    return gen_ != nullptr && gen_->MigrateVmShare(from, to, units);
-  }
-
-  // The surge multiplier currently applied (for reports).
-  double factor() const { return applied_; }
+ protected:
+  void AfterStart(fleet::Cluster& cluster) override;
+  void BeforeStop(fleet::Cluster& cluster) override;
 
  private:
   void Modulate(sim::SimTime now);
 
   SurgeConfig config_;
-  std::unique_ptr<fleet::LoadGen> gen_;
-  double applied_ = 1.0;
+  double applied_ = 1.0;  // The surge multiplier currently applied.
   uint64_t hook_id_ = 0;
 };
 

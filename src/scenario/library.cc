@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/scenario/generators.h"
 #include "src/sim/logging.h"
 
 namespace taichi::scenario {
@@ -47,34 +46,6 @@ Fig3Mix Fig3DensityMix(int density) {
   return mix;
 }
 
-void Fig3Source::Start(fleet::Cluster& cluster) {
-  if (gen_ != nullptr) {
-    TAICHI_ERROR(cluster.Now(), "fig3: Start called twice");
-    return;
-  }
-  gen_ = std::make_unique<fleet::LoadGen>(&cluster, config_);
-  gen_->Start();
-}
-
-void Fig3Source::Stop(fleet::Cluster& cluster) {
-  (void)cluster;
-  if (gen_ != nullptr) {
-    gen_->Stop();
-  }
-}
-
-void Fig3Source::OnNodeCrash(fleet::Cluster& cluster, size_t node) {
-  if (gen_ != nullptr) {
-    gen_->OnNodeCrash(cluster, node);
-  }
-}
-
-void Fig3Source::OnNodeRestart(fleet::Cluster& cluster, size_t node) {
-  if (gen_ != nullptr) {
-    gen_->OnNodeRestart(cluster, node);
-  }
-}
-
 const std::vector<std::string>& ScenarioNames() {
   static const std::vector<std::string> kNames = {
       "baseline",    "diurnal",        "incast",
@@ -113,9 +84,6 @@ ScenarioSpec BuildScenario(const std::string& name, const ScenarioOptions& opts)
     spec.description = "day/night load curve over the mix; the SLO must hold";
     DiurnalConfig dcfg;
     dcfg.load = mix.load;
-    dcfg.period = sim::Millis(400);
-    dcfg.trough = 0.50;
-    dcfg.peak = 1.40;
     spec.observed = opts.observed > 0 ? opts.observed : sim::Millis(800);
     spec.make_source = [dcfg](fleet::Cluster&) -> std::unique_ptr<TrafficSource> {
       return std::make_unique<DiurnalSource>(dcfg);
@@ -141,14 +109,6 @@ ScenarioSpec BuildScenario(const std::string& name, const ScenarioOptions& opts)
         "spoofed-source flood at a victim node; hotspot + attack attribution";
     DdosConfig acfg;
     acfg.load = mix.load;
-    // One victim at moderate intensity: the victim's tail rises while the
-    // other nodes anchor the fleet percentile, which is exactly the contrast
-    // the hotspot rule (node p99 > factor x fleet p99) keys on. Saturating
-    // many nodes makes the victims BE the fleet tail and hides them.
-    acfg.targets = {0};
-    acfg.attackers = 12;
-    acfg.utilization = 0.50;
-    acfg.size_bytes = 512;
     // On before the observed phase starts, so every window sees the flood.
     acfg.start_after = sim::Millis(100);
     spec.make_source = [acfg](fleet::Cluster&) -> std::unique_ptr<TrafficSource> {
@@ -296,10 +256,6 @@ ScenarioSpec BuildScenario(const std::string& name, const ScenarioOptions& opts)
           "flood at an autopilot-enabled hot node; migrate + boost back under SLO";
       DdosConfig acfg;
       acfg.load = load;
-      acfg.targets = {0};
-      acfg.attackers = 12;
-      acfg.utilization = 0.50;
-      acfg.size_bytes = 512;
       acfg.start_after = sim::Millis(1800);  // Just after the observed phase opens.
       spec.make_source = [acfg](fleet::Cluster&) -> std::unique_ptr<TrafficSource> {
         return std::make_unique<DdosSource>(acfg);

@@ -5,8 +5,8 @@
 //   baseline     the Fig. 3 fleet mix on a Tai Chi fleet — must hold the SLO.
 //   diurnal      the mix under a day/night load curve — must still hold it.
 //   incast       periodic synchronized fan-in bursts at one victim node.
-//   ddos         a spoofed-source volumetric flood at two victim nodes; the
-//                SLO monitor must flag the victims as hotspots AND the
+//   ddos         a spoofed-source volumetric flood at one victim node; the
+//                SLO monitor must flag the victim as a hotspot AND the
 //                sketch attribution must name flows from the attack range.
 //   crash-churn  seeded-random node crash/auto-restart churn under the mix;
 //                every node must be back up at the end.
@@ -29,7 +29,10 @@
 //
 // Fig3DensityMix is the single definition of the paper's density-scaled
 // load shape (Fig. 3 DP mix + §6.6 VM-arrival pressure); fleet_rollout and
-// every scenario build on it instead of hand-rolling the tweak.
+// every scenario build on it instead of hand-rolling the tweak. Every
+// scenario's source is a Fig3Source or a generator derived from it, all in
+// generators.h, which this header includes so that harnesses building the
+// plain mix (Fig3Source(mix.load)) need only this one.
 #ifndef SRC_SCENARIO_LIBRARY_H_
 #define SRC_SCENARIO_LIBRARY_H_
 
@@ -38,6 +41,7 @@
 #include <vector>
 
 #include "src/fleet/load_gen.h"
+#include "src/scenario/generators.h"
 #include "src/scenario/scenario.h"
 
 namespace taichi::scenario {
@@ -50,29 +54,6 @@ struct Fig3Mix {
   std::function<void(int, exp::TestbedConfig&)> tweak;
 };
 Fig3Mix Fig3DensityMix(int density);
-
-// The baseline named source: the Fig. 3 mix and nothing else. Builds its
-// LoadGen lazily so a spec can exist before its cluster does.
-class Fig3Source : public TrafficSource {
- public:
-  explicit Fig3Source(fleet::LoadGenConfig config) : config_(config) {}
-
-  const char* name() const override { return "fig3-mix"; }
-  void Start(fleet::Cluster& cluster) override;
-  void Stop(fleet::Cluster& cluster) override;
-  bool running() const override { return gen_ != nullptr && gen_->running(); }
-
-  void OnNodeCrash(fleet::Cluster& cluster, size_t node) override;
-  void OnNodeRestart(fleet::Cluster& cluster, size_t node) override;
-  double VmShare(size_t node) const override { return gen_ ? gen_->VmShare(node) : 1.0; }
-  bool MigrateVmShare(size_t from, size_t to, double units) override {
-    return gen_ != nullptr && gen_->MigrateVmShare(from, to, units);
-  }
-
- private:
-  fleet::LoadGenConfig config_;
-  std::unique_ptr<fleet::LoadGen> gen_;
-};
 
 // Runtime knobs a harness may override; scenario defaults fill the rest.
 struct ScenarioOptions {

@@ -4,14 +4,12 @@ namespace taichi::core {
 
 TaiChi::TaiChi(os::Kernel* kernel, TaiChiConfig config)
     : kernel_(kernel), config_(config) {
-  mux_ = std::make_unique<virt::GuestExitMux>(kernel_);
   pool_ = std::make_unique<virt::VcpuPool>(kernel_, config_.num_vcpus,
                                            static_cast<hw::ApicId>(config_.vcpu_apic_base));
   orchestrator_ = std::make_unique<IpiOrchestrator>(kernel_);
   sw_probe_ = std::make_unique<SwWorkloadProbe>(config_);
-  scheduler_ = std::make_unique<VcpuScheduler>(kernel_, pool_.get(), mux_.get(),
-                                               sw_probe_.get(), &kernel_->machine().probe(),
-                                               config_);
+  scheduler_ = std::make_unique<VcpuScheduler>(kernel_, pool_.get(), sw_probe_.get(),
+                                               &kernel_->machine().probe(), config_);
   scheduler_->set_orchestrator(orchestrator_.get());
   orchestrator_->set_scheduler(scheduler_.get());
 
@@ -29,7 +27,6 @@ void TaiChi::AttachObservability(obs::Observability* obs) {
   scheduler_->set_tracer(tracer);
   orchestrator_->set_tracer(tracer);
   sw_probe_->set_tracer(tracer, &kernel_->sim());
-  mux_->set_tracer(tracer);
   if (obs != nullptr) {
     scheduler_->RegisterMetrics(obs->metrics);
     orchestrator_->RegisterMetrics(obs->metrics);
@@ -39,8 +36,6 @@ void TaiChi::AttachObservability(obs::Observability* obs) {
 
 TaiChi::~TaiChi() {
   kernel_->machine().accelerator().set_probe(nullptr);
-  kernel_->set_guest_exit_handler(nullptr);
-  kernel_->set_guest_halt_handler(nullptr);
 }
 
 }  // namespace taichi::core

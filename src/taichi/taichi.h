@@ -24,7 +24,6 @@
 #include "src/taichi/ipi_orchestrator.h"
 #include "src/taichi/sw_probe.h"
 #include "src/taichi/vcpu_scheduler.h"
-#include "src/virt/guest_exit_mux.h"
 #include "src/virt/vcpu_pool.h"
 
 namespace taichi::core {
@@ -50,15 +49,14 @@ class TaiChi {
   os::CpuSet cp_task_cpus() const { return pool_->cpu_set() | config_.cp_cpus; }
   os::CpuSet vcpu_set() const { return pool_->cpu_set(); }
 
-  // Wires the four core components (scheduler, orchestrator, SW probe, exit
-  // mux) into `obs`. The kernel/machine side is wired by whoever owns them
-  // (exp::Testbed does both), so metrics register exactly once.
+  // Wires the three core components (scheduler, orchestrator, SW probe) into
+  // `obs`. The kernel/machine side is wired by whoever owns them (exp::Testbed
+  // does both), so metrics register exactly once.
   void AttachObservability(obs::Observability* obs);
 
  private:
   os::Kernel* kernel_;
   TaiChiConfig config_;
-  std::unique_ptr<virt::GuestExitMux> mux_;
   std::unique_ptr<virt::VcpuPool> pool_;
   std::unique_ptr<IpiOrchestrator> orchestrator_;
   std::unique_ptr<SwWorkloadProbe> sw_probe_;

@@ -9,8 +9,8 @@
 namespace taichi::core {
 
 VcpuScheduler::VcpuScheduler(os::Kernel* kernel, virt::VcpuPool* pool,
-                             virt::GuestExitMux* mux, SwWorkloadProbe* sw_probe,
-                             hw::HwWorkloadProbe* hw_probe, const TaiChiConfig& config)
+                             SwWorkloadProbe* sw_probe, hw::HwWorkloadProbe* hw_probe,
+                             const TaiChiConfig& config)
     : kernel_(kernel),
       pool_(pool),
       sw_probe_(sw_probe),
@@ -18,7 +18,6 @@ VcpuScheduler::VcpuScheduler(os::Kernel* kernel, virt::VcpuPool* pool,
       config_(config) {
   for (const virt::VcpuInfo& v : pool_->vcpus()) {
     vcpus_[v.cpu] = VcpuRecord{};
-    mux->Register(v.cpu, this);
   }
   auto init_pcpu = [this](os::CpuId cpu) {
     PcpuRecord rec;
@@ -33,6 +32,11 @@ VcpuScheduler::VcpuScheduler(os::Kernel* kernel, virt::VcpuPool* pool,
   kernel_->RegisterSoftirq(kVcpuSwitchSoftirq, [this](os::CpuId cpu) { DoSwitch(cpu); });
   sw_probe_->set_scheduler(this);
   kernel_->set_idle_handler([this](os::CpuId pcpu) { OnCpuIdle(pcpu); });
+  kernel_->set_guest_exit_handler(
+      [this](os::CpuId pcpu, os::CpuId vcpu, const os::GuestExitInfo& info) {
+        OnGuestExit(pcpu, vcpu, info);
+      });
+  kernel_->set_guest_halt_handler([this](os::CpuId vcpu) { OnGuestHalt(vcpu); });
 }
 
 VcpuScheduler::~VcpuScheduler() {
@@ -42,6 +46,8 @@ VcpuScheduler::~VcpuScheduler() {
   }
   kernel_->RegisterSoftirq(kVcpuSwitchSoftirq, nullptr);
   kernel_->set_idle_handler(nullptr);
+  kernel_->set_guest_exit_handler(nullptr);
+  kernel_->set_guest_halt_handler(nullptr);
   sw_probe_->set_scheduler(nullptr);
 }
 
@@ -206,6 +212,10 @@ void VcpuScheduler::CancelSliceTimer(os::CpuId pcpu) {
 
 void VcpuScheduler::OnGuestExit(os::CpuId pcpu, os::CpuId vcpu,
                                 const os::GuestExitInfo& info) {
+  if (tracer_ != nullptr) {
+    tracer_->Instant(kernel_->sim().Now(), pcpu, obs::TraceCategory::kVirt, "guest_exit",
+                     static_cast<uint64_t>(vcpu), static_cast<uint64_t>(info.reason));
+  }
   // The slice timer is deliberately NOT cancelled here: every path below
   // either re-enters a guest (Enter → ArmSliceTimer re-keys the standing
   // timer in place) or resumes the host via resume_host below (which

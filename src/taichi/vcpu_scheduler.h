@@ -13,22 +13,25 @@
 #include "src/sim/stats.h"
 #include "src/taichi/config.h"
 #include "src/taichi/sw_probe.h"
-#include "src/virt/guest_exit_mux.h"
 #include "src/virt/vcpu_pool.h"
 
 namespace taichi::core {
 
 class IpiOrchestrator;
 
-class VcpuScheduler : public virt::GuestController {
+// The kernel's one guest-exit, guest-halt and idle handler while it lives:
+// every VM-exit and halt on the kernel is its pool's, and it decides each.
+class VcpuScheduler {
  public:
-  VcpuScheduler(os::Kernel* kernel, virt::VcpuPool* pool, virt::GuestExitMux* mux,
-                SwWorkloadProbe* sw_probe, hw::HwWorkloadProbe* hw_probe,
-                const TaiChiConfig& config);
-  // Uninstalls the switch softirq and the idle handler and cancels armed
-  // slice timers. Destroy only after the vCPUs have quiesced (no backed or
-  // runnable vCPU) — Testbed::DisableTaiChi drains before tearing down.
-  ~VcpuScheduler() override;
+  VcpuScheduler(os::Kernel* kernel, virt::VcpuPool* pool, SwWorkloadProbe* sw_probe,
+                hw::HwWorkloadProbe* hw_probe, const TaiChiConfig& config);
+  VcpuScheduler(const VcpuScheduler&) = delete;
+  VcpuScheduler& operator=(const VcpuScheduler&) = delete;
+  // Uninstalls the switch softirq and the guest-exit, guest-halt and idle
+  // handlers, and cancels armed slice timers. Destroy only after the vCPUs
+  // have quiesced (no backed or runnable vCPU) — Testbed::DisableTaiChi
+  // drains before tearing down.
+  ~VcpuScheduler();
 
   void set_orchestrator(IpiOrchestrator* orchestrator) { orchestrator_ = orchestrator; }
 
@@ -46,10 +49,6 @@ class VcpuScheduler : public virt::GuestController {
   // (tasks frozen inside a preempted vCPU are invisible to task-level load
   // balancing, so the vCPU itself must be given CPU time).
   void OnCpuIdle(os::CpuId pcpu);
-
-  // --- virt::GuestController ---
-  void OnGuestExit(os::CpuId pcpu, os::CpuId vcpu, const os::GuestExitInfo& info) override;
-  void OnGuestHalt(os::CpuId vcpu) override;
 
   // --- Introspection ---
   enum class VcpuState : uint8_t { kSleeping, kRunnable, kRunning };
@@ -87,6 +86,13 @@ class VcpuScheduler : public virt::GuestController {
   bool IsDpCpu(os::CpuId cpu) const { return config_.dp_cpus.Test(cpu); }
   bool IsCpCpu(os::CpuId cpu) const { return config_.cp_cpus.Test(cpu); }
 
+  // The guest-exit handler: `pcpu` finished its VM-exit of `vcpu`; re-enter
+  // a guest on it or resume the host. Emits a "guest_exit" instant when
+  // traced.
+  void OnGuestExit(os::CpuId pcpu, os::CpuId vcpu, const os::GuestExitInfo& info);
+  // The guest-halt handler: the backed `vcpu` ran out of work (HLT in its
+  // idle loop).
+  void OnGuestHalt(os::CpuId vcpu);
   // The softirq handler body: picks a runnable vCPU and VM-enters it.
   void DoSwitch(os::CpuId pcpu);
   // Places `vcpu` on `pcpu` and arms the preemption timer.

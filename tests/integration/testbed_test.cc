@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cp/synth_cp.h"
 #include "src/exp/runners.h"
 #include "src/exp/testbed.h"
 
@@ -171,6 +172,79 @@ TEST(TestbedTest, SetDpBoostRoundTripNarrowsAndWidensCpAffinity) {
   bed.sim().RunFor(sim::Millis(5));  // The drain completes.
   EXPECT_FALSE(bed.taichi_draining());
   EXPECT_FALSE(bed.taichi_enabled());
+}
+
+// Buffered "guest_exit" instants: one per VM-exit the vCPU scheduler handled.
+size_t GuestExitInstants(const obs::TraceRecorder& trace) {
+  size_t n = 0;
+  for (const obs::TraceEvent& e : trace.Events()) {
+    n += e.phase == 'i' && e.name == "guest_exit" ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(TestbedTest, GuestExitsReachTheSchedulerUntilTeardown) {
+  // While Tai Chi is installed, its vCPU scheduler handles every VM-exit and
+  // halt on the kernel; once it is torn down, the kernel's default exit path
+  // resumes the host and nothing of the scheduler is called.
+  Testbed bed(BaseConfig(Mode::kTaiChi, 7));
+  obs::Observability obs(/*trace_capacity=*/1 << 20);
+  obs.trace.set_enabled(true);
+  bed.AttachObservability(&obs);
+  bed.StartBackgroundBurstyLoad(0.30, 512);
+  bed.SpawnBackgroundCp();
+  cp::SynthCpConfig scfg;
+  scfg.task_demand = sim::Millis(5);
+  scfg.iterations = 4;
+  cp::SynthCpBenchmark synth(&bed.kernel(), scfg, 99);
+  synth.Launch(8, bed.cp_task_cpus());
+  bed.sim().RunFor(sim::Millis(30));
+  // Stop where no pCPU is partway through a VM-exit, so every exit counted
+  // so far has reached its handler.
+  os::Kernel& kernel = bed.kernel();
+  auto mid_transition = [&] {
+    for (os::CpuId p = 0; p < static_cast<os::CpuId>(bed.machine().num_cpus()); ++p) {
+      if (!kernel.CpuInHostMode(p) && kernel.guest_of(p) == os::kInvalidCpu) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (int i = 0; i < 1000 && mid_transition(); ++i) {
+    bed.sim().RunFor(sim::Micros(1));
+  }
+  ASSERT_FALSE(mid_transition());
+  ASSERT_EQ(obs.trace.overwritten(), 0u);
+  EXPECT_GT(kernel.guest_exits(), 0u);
+  EXPECT_EQ(GuestExitInstants(obs.trace), kernel.guest_exits());
+  EXPECT_GT(bed.taichi()->scheduler().halts(), 0u);
+
+  // Tear Tai Chi down: drain with the load off, then destroy it.
+  const os::CpuId vcpu = bed.taichi()->pool().vcpus()[0].cpu;
+  bed.StopBackgroundLoad();
+  bed.DisableTaiChi();
+  for (int i = 0; i < 200 && bed.taichi() != nullptr; ++i) {
+    bed.sim().RunFor(sim::Millis(1));
+  }
+  ASSERT_EQ(bed.taichi(), nullptr);
+  bed.sim().RunFor(sim::Millis(1));
+
+  // A manual guest episode on an idle vCPU: it stays backed (no halt handler
+  // exits it), and its exit resumes the host without a scheduler instant.
+  const os::CpuId pcpu = bed.active_dp_cpus()[0];
+  ASSERT_TRUE(kernel.CpuInHostMode(pcpu));
+  const size_t instants = GuestExitInstants(obs.trace);
+  const uint64_t exits = kernel.guest_exits();
+  kernel.EnterGuest(pcpu, vcpu);
+  bed.sim().RunFor(sim::Micros(20));
+  EXPECT_EQ(kernel.guest_of(pcpu), vcpu);
+  kernel.ExitGuest(pcpu, os::GuestExitReason::kForced);
+  bed.sim().RunFor(sim::Micros(20));
+  EXPECT_TRUE(kernel.CpuInHostMode(pcpu));
+  EXPECT_EQ(kernel.guest_of(pcpu), os::kInvalidCpu);
+  EXPECT_FALSE(kernel.cpu_backed(vcpu));
+  EXPECT_EQ(kernel.guest_exits(), exits + 1);
+  EXPECT_EQ(GuestExitInstants(obs.trace), instants);
 }
 
 TEST(TestbedTest, MixedBurstKeepsPerPacketDeliveryOrder) {

@@ -6,6 +6,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/fleet/cluster.h"
 #include "src/scenario/chaos.h"
@@ -13,6 +15,7 @@
 #include "src/scenario/library.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/trace_format.h"
+#include "src/sim/logging.h"
 
 namespace taichi {
 namespace {
@@ -312,6 +315,57 @@ TEST(ClusterChaos, ScriptedChaosFiresAtEpochBoundaries) {
   EXPECT_EQ(chaos.fired()[0].kind, scenario::ChaosAction::Kind::kCrash);
   EXPECT_EQ(chaos.fired()[1].kind, scenario::ChaosAction::Kind::kRestart);
   chaos.Disarm();
+}
+
+// --- Generators --------------------------------------------------------------
+
+std::vector<std::string> g_errors;
+void CaptureErrors(sim::LogLevel level, sim::SimTime, const char* message) {
+  if (level == sim::LogLevel::kError) {
+    g_errors.emplace_back(message);
+  }
+}
+
+// Runs the named scenario's source on a 2-node fleet past the DDoS flood's
+// 100 ms switch-on, Start called `starts` times, and returns every node's
+// executed-event count.
+std::vector<uint64_t> NodeEventsAfterStarts(const std::string& name, int starts) {
+  scenario::ScenarioOptions opts;
+  opts.nodes = 2;
+  scenario::ScenarioSpec spec = scenario::BuildScenario(name, opts);
+  fleet::Cluster cluster(spec.cluster);
+  std::unique_ptr<scenario::TrafficSource> source = spec.make_source(cluster);
+  for (int i = 0; i < starts; ++i) {
+    source->Start(cluster);
+  }
+  EXPECT_TRUE(source->running());
+  cluster.RunFor(sim::Millis(120));
+  source->Stop(cluster);
+  std::vector<uint64_t> events;
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    events.push_back(cluster.node(i).sim().events_executed());
+  }
+  return events;
+}
+
+TEST(ScenarioGenerators, EverySourceRefusesASecondStart) {
+  // One scenario per source class: Fig3Source, DiurnalSource, IncastSource,
+  // DdosSource and SurgeSource. The second Start must be refused with an
+  // error naming the source, and the run must be the run of one Start.
+  const std::pair<const char*, const char*> kSources[] = {
+      {"baseline", "fig3-mix"}, {"diurnal", "diurnal"}, {"incast", "incast"},
+      {"ddos", "ddos"},         {"autopilot-overload", "surge"}};
+  for (const auto& [scenario_name, source_name] : kSources) {
+    SCOPED_TRACE(scenario_name);
+    const std::vector<uint64_t> once = NodeEventsAfterStarts(scenario_name, 1);
+    g_errors.clear();
+    const sim::LogSink previous = sim::SetLogSink(&CaptureErrors);
+    const std::vector<uint64_t> twice = NodeEventsAfterStarts(scenario_name, 2);
+    sim::SetLogSink(previous);
+    EXPECT_EQ(twice, once);
+    ASSERT_EQ(g_errors.size(), 1u);
+    EXPECT_EQ(g_errors[0], std::string(source_name) + ": Start called twice");
+  }
 }
 
 // --- Determinism -------------------------------------------------------------
