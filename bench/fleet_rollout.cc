@@ -28,6 +28,12 @@
 // instead of pre-planned waves, the autopilot discovers which nodes need
 // Tai Chi from the SLO signal alone and leaves the cool nodes' vCPU budget
 // unspent. Prints the decision log and the enabled-vs-static vCPU contrast.
+//
+// Every mode exits 1 on a shape mismatch. The baseline must breach the SLO
+// first; then the staged rollout must converge under it (`--scenario ddos`:
+// the flood makes the canaries breach too, so its first gate must roll the
+// rollout back), or the autopilot must end under the SLO with Tai Chi on
+// fewer vCPUs than the whole fleet.
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -90,7 +96,7 @@ int RunAutopilot(int argc, char** argv, int threads) {
   acfg.slo.percentile = 90.0;
   acfg.slo.min_samples = 8;
   acfg.slo.hotspot_factor = 1.3;
-  fleet::Autopilot autopilot(&cluster, &source, acfg);
+  fleet::Autopilot autopilot(&cluster, source, acfg);
 
   fleet::SloMonitor monitor(&cluster, acfg.slo);
 
@@ -117,9 +123,7 @@ int RunAutopilot(int argc, char** argv, int threads) {
 
   int static_vcpus = 0;
   for (size_t i = 0; i < cluster.size(); ++i) {
-    const exp::TestbedConfig& cfg = cluster.node(i).config();
-    const int v = cfg.taichi.num_vcpus > 0 ? cfg.taichi.num_vcpus : cfg.dp_cpu_count;
-    static_vcpus += v;
+    static_vcpus += cluster.node(i).config().taichi.num_vcpus;
   }
 
   sim::Table t({"Node", "Density", "Mode at end", "p90 before (ms)", "p90 after (ms)"});
@@ -146,7 +150,8 @@ int RunAutopilot(int argc, char** argv, int threads) {
   json.Config("slo_ms", kNicSloMs);
   json.Metric("before.p90_ms", before.fleet_value);
   json.Metric("after.p90_ms", after.fleet_value);
-  json.Metric("enables", static_cast<int64_t>(autopilot.enables()));
+  json.Metric("enables",
+              static_cast<int64_t>(autopilot.Count(fleet::Autopilot::Act::kEnable)));
   json.Metric("enabled_vcpus", static_cast<int64_t>(autopilot.enabled_vcpus()));
   json.Metric("static_vcpus", static_cast<int64_t>(static_vcpus));
   if (!json.Write()) {
@@ -158,7 +163,7 @@ int RunAutopilot(int argc, char** argv, int threads) {
                         autopilot.enabled_vcpus() < static_vcpus;
   std::printf("\n%s: the autopilot converges the fleet under the SLO on fewer vCPUs\n",
               shape_ok ? "PASS" : "SHAPE MISMATCH");
-  return 0;
+  return shape_ok ? 0 : 1;
 }
 }  // namespace
 
@@ -232,7 +237,6 @@ int main(int argc, char** argv) {
   } else if (scenario_name == "ddos") {
     scenario::DdosConfig acfg;
     acfg.load = mix.load;
-    acfg.start_after = sim::Millis(100);
     source = std::make_unique<scenario::DdosSource>(acfg);
   } else {
     source = std::make_unique<scenario::Fig3Source>(mix.load);
@@ -317,7 +321,8 @@ int main(int argc, char** argv) {
   }
   if (chaos != nullptr) {
     std::printf("chaos: %d crashes, %d restarts, %zu pending, %zu/%d nodes up\n",
-                chaos->crashes(), chaos->restarts(), chaos->pending_restarts(),
+                chaos->Count(scenario::ChaosAction::Kind::kCrash),
+                chaos->Count(scenario::ChaosAction::Kind::kRestart), chaos->pending_restarts(),
                 cluster.alive_count(), kNodes);
   }
   std::printf("rollout: %s after %zu gates\n",
@@ -465,10 +470,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  const bool shape_ok = rollout.state() == fleet::Rollout::State::kDone &&
-                        before.fleet_value + kHostInstantiateMs > kStartupSloMs &&
-                        after.fleet_value + kHostInstantiateMs < kStartupSloMs;
-  std::printf("\n%s: baseline breaches the SLO, the staged rollout converges under it\n",
-              shape_ok ? "PASS" : "SHAPE MISMATCH");
-  return 0;
+  // The baseline breaches in every mode. Under the ddos flood the canary
+  // nodes breach too, so the expected result is the safety path: the first
+  // gate refuses the rollout and rolls it back. Every other mode converges
+  // the fleet under the SLO.
+  const bool ddos = scenario_name == "ddos";
+  const bool shape_ok =
+      before.fleet_value + kHostInstantiateMs > kStartupSloMs &&
+      (ddos ? rollout.state() == fleet::Rollout::State::kRolledBack &&
+                  rollout.gate_reports().size() == 1
+            : rollout.state() == fleet::Rollout::State::kDone &&
+                  after.fleet_value + kHostInstantiateMs < kStartupSloMs);
+  std::printf("\n%s: baseline breaches the SLO, %s\n", shape_ok ? "PASS" : "SHAPE MISMATCH",
+              ddos ? "the first gate rolls the flooded rollout back"
+                   : "the staged rollout converges under it");
+  return shape_ok ? 0 : 1;
 }

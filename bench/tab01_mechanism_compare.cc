@@ -9,6 +9,12 @@
 //   * framework overhead    — data-plane capacity given up to the mechanism
 //     (e.g. a dedicated dispatcher core);
 //   * transparency          — whether CP tasks need modification (static).
+//
+// Exits 1 on a shape mismatch: Tai Chi's scheduling-induced DP delay not
+// µs-scale (under 100 µs; model 10.6 µs), either prior mechanism's not
+// ms-scale (over 1 ms; model 7563.5 µs), or Tai Chi giving up more DP
+// capacity than the dedicated dispatcher core (model 8.77 vs 7.67 Mpps).
+// The verdict goes to stderr, so stdout stays the table alone.
 #include "bench/common.h"
 #include "src/cp/cp_profiles.h"
 
@@ -18,6 +24,7 @@ namespace {
 
 struct Row {
   std::string name;
+  std::string key;  // JSON metric prefix.
   double granularity_us = 0;  // p99.9 DP ring delay under CP co-location.
   double capacity_mpps = 0;   // Saturated DP throughput (framework cost).
   const char* transparency;
@@ -25,10 +32,11 @@ struct Row {
 
 // Measures worst-case DP service delay while CP churn runs co-scheduled,
 // and the saturated DP capacity.
-Row Measure(const std::string& name, exp::Mode mode, int reserved_dispatcher_cpus,
-            const char* transparency) {
+Row Measure(const std::string& name, const std::string& key, exp::Mode mode,
+            int reserved_dispatcher_cpus, const char* transparency) {
   Row row;
   row.name = name;
+  row.key = key;
   row.transparency = transparency;
 
   {
@@ -67,18 +75,20 @@ Row Measure(const std::string& name, exp::Mode mode, int reserved_dispatcher_cpu
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   bench::PrintHeader("Table 1", "mechanism comparison: granularity / overhead / transparency");
 
+  bench::JsonReport json("tab01_mechanism_compare", argc, argv);
+  json.Config("seed", static_cast<int64_t>(42));
   std::vector<Row> rows;
   // Kernel-scheduler co-scheduling: the Concord/Skyloft/Vessel class (and
   // UINTR-style user preemption, which also cannot split kernel routines).
   rows.push_back(Measure("kernel co-scheduling (Concord/Skyloft/Vessel class)",
-                         exp::Mode::kNaiveCosched, 0, "Partial"));
+                         "kernel_cosched", exp::Mode::kNaiveCosched, 0, "Partial"));
   // Dedicated-dispatcher systems: Shenango/Caladan burn >=1 core.
   rows.push_back(Measure("dedicated dispatcher core (Shenango/Caladan class)",
-                         exp::Mode::kNaiveCosched, 1, "Partial"));
-  rows.push_back(Measure("Tai Chi", exp::Mode::kTaiChi, 0, "Full"));
+                         "dispatcher_core", exp::Mode::kNaiveCosched, 1, "Partial"));
+  rows.push_back(Measure("Tai Chi", "taichi", exp::Mode::kTaiChi, 0, "Full"));
 
   sim::Table t({"Mechanism", "Sched-induced DP delay", "DP capacity (Mpps)",
                 "CP transparency"});
@@ -87,9 +97,24 @@ int main() {
     t.AddRow({row.name,
               sim::Table::Num(row.granularity_us, 1) + "us (" + scale + ")",
               sim::Table::Num(row.capacity_mpps, 2), row.transparency});
+    json.Metric(row.key + ".sched_delay_us", row.granularity_us);
+    json.Metric(row.key + ".dp_capacity_mpps", row.capacity_mpps);
   }
   t.Print();
   std::printf("\npaper: prior work ms-scale granularity / high-or-low overhead /"
               " partial transparency; Tai Chi us-scale / low / full\n");
-  return 0;
+  if (!json.Write()) {
+    return 1;
+  }
+  const Row& cosched = rows[0];
+  const Row& dispatcher = rows[1];
+  const Row& taichi = rows[2];
+  const bool shape_ok = taichi.granularity_us < 100.0 && cosched.granularity_us > 1000.0 &&
+                        dispatcher.granularity_us > 1000.0 &&
+                        taichi.capacity_mpps >= dispatcher.capacity_mpps;
+  std::fprintf(stderr,
+               "%s: Tai Chi's DP delay is us-scale (< 100 us) and both prior mechanisms' "
+               "ms-scale (> 1 ms); Tai Chi keeps at least the dispatcher-core DP capacity\n",
+               shape_ok ? "PASS" : "SHAPE MISMATCH");
+  return shape_ok ? 0 : 1;
 }

@@ -1,6 +1,11 @@
 // Table 2: traditional type-1 / type-2 virtualization vs Tai Chi's hybrid
 // virtualization. Static properties come from the architecture; DP
 // performance is measured with the tcp_crr harness of Fig. 12.
+//
+// Exits 1 on a shape mismatch, with Fig. 12's CPS bands: Tai Chi more than
+// 1% from the static baseline, type-1 (the vDP mode) outside [-12%, -3%] of
+// it, or type-2 outside [-32%, -18%]. The verdict goes to stderr, so stdout
+// stays the table alone.
 #include "bench/common.h"
 
 using namespace taichi;
@@ -21,8 +26,12 @@ double MeasureCps(exp::Mode mode) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   bench::PrintHeader("Table 2", "type-1 vs type-2 vs Tai Chi hybrid virtualization");
+
+  bench::JsonReport json("tab02_virt_compare", argc, argv);
+  json.Config("connections", static_cast<int64_t>(256));
+  json.Config("seed", static_cast<int64_t>(42));
 
   double base = MeasureCps(exp::Mode::kBaseline);
   double type1 = MeasureCps(exp::Mode::kTaiChiVdp);
@@ -39,5 +48,18 @@ int main() {
   t.Print();
   std::printf("\npaper: type-1 low DP perf (virtualization tax), type-2 medium\n"
               "(dedicated CPUs + 2us scheduling latency), Tai Chi high (native)\n");
-  return 0;
+
+  // CPS change vs the static baseline, in percent.
+  auto pct = [base](double cps) { return (cps / base - 1.0) * 100.0; };
+  json.Metric("baseline.cps", base);
+  json.Metric("type1.cps", type1);
+  json.Metric("type1.cps_vs_base_pct", pct(type1));
+  json.Metric("type2.cps", type2);
+  json.Metric("type2.cps_vs_base_pct", pct(type2));
+  json.Metric("taichi.cps", taichi);
+  json.Metric("taichi.cps_vs_base_pct", pct(taichi));
+  if (!json.Write()) {
+    return 1;
+  }
+  return bench::MechanismShapeHolds("CPS", pct(taichi), pct(type1), pct(type2)) ? 0 : 1;
 }

@@ -84,9 +84,6 @@ void Testbed::InstallTaiChi() {
   core::TaiChiConfig tcfg = config_.taichi;
   tcfg.dp_cpus = dp_set_;
   tcfg.cp_cpus = cp_set_;
-  if (tcfg.num_vcpus == 0) {
-    tcfg.num_vcpus = config_.dp_cpu_count;
-  }
   tcfg.hw_probe_enabled = config_.mode != Mode::kTaiChiNoHwProbe;
   // Every generation gets fresh CPU and APIC ids: retired vCPUs stay
   // registered with the kernel (there is no CPU unregistration, as on real
@@ -491,7 +488,7 @@ void Testbed::EnableTaiChi() {
                  "baseline, not %s", ToString(config_.mode));
     return;
   }
-  int vcpus = config_.taichi.num_vcpus == 0 ? config_.dp_cpu_count : config_.taichi.num_vcpus;
+  const int vcpus = config_.taichi.num_vcpus;
   if (kernel_->num_cpus() + vcpus > 64) {
     TAICHI_ERROR(sim_.Now(), "testbed: out of CPU ids (%d registered, %d more wanted)",
                  kernel_->num_cpus(), vcpus);

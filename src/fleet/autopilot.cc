@@ -5,11 +5,19 @@
 #include <utility>
 
 #include "src/exp/testbed.h"
-#include "src/obs/json.h"
-#include "src/obs/metrics.h"
 #include "src/sim/logging.h"
 
 namespace taichi::fleet {
+namespace {
+
+// One migration moves this much VM-arrival share (TrafficSource::VmShare).
+constexpr double kMigrateUnit = 1.0;
+// No migration lands a node above this share. A unit of share is 2 VMs and
+// 8 CP management units; against a node's 32 VM slots and 48 CP units the
+// CP budget binds first, at 6 units.
+constexpr double kMaxShare = 6.0;
+
+}  // namespace
 
 const char* ToString(Autopilot::Act act) {
   switch (act) {
@@ -37,12 +45,11 @@ const char* ToString(Autopilot::Act act) {
   return "?";
 }
 
-Autopilot::Autopilot(Cluster* cluster, scenario::TrafficSource* source, AutopilotConfig config)
+Autopilot::Autopilot(Cluster* cluster, scenario::TrafficSource& source, AutopilotConfig config)
     : cluster_(cluster),
       source_(source),
       config_(std::move(config)),
-      monitor_(cluster, config_.slo),
-      placer_(cluster->size(), config_.capacity) {}
+      monitor_(cluster, config_.slo) {}
 
 Autopilot::~Autopilot() { Disarm(); }
 
@@ -56,7 +63,6 @@ void Autopilot::Arm() {
   calm_streak_.assign(n, 0);
   fail_streak_.assign(n, 0);
   cooldown_until_.assign(n, 0);
-  units_.assign(n, 0);
   boost_hi_streak_.assign(n, 0);
   boost_lo_streak_.assign(n, 0);
   was_enabled_.assign(n, false);
@@ -66,22 +72,11 @@ void Autopilot::Arm() {
   settle_until_ = 0;
   healthy_streak_ = 0;
 
-  // Seed the placer's books from the source's current VM shares: one
-  // unit_spec per migrate_unit of share, so Fits() sees what each node is
-  // actually carrying before any move is considered.
-  placer_ = Placer(n, config_.capacity);
   for (size_t i = 0; i < n; ++i) {
-    const double share = source_ != nullptr ? source_->VmShare(i) : 1.0;
-    const int want = config_.migrate_unit > 0
-                         ? static_cast<int>(std::llround(share / config_.migrate_unit))
-                         : 0;
-    for (int u = 0; u < want; ++u) {
-      if (!placer_.PlaceOn(static_cast<int>(i), config_.unit_spec).admitted) {
-        TAICHI_ERROR(cluster_->Now(),
-                     "autopilot: node %zu share %g exceeds capacity at unit %d", i, share, u);
-        break;
-      }
-      ++units_[i];
+    const double share = source_.VmShare(i);
+    if (share > kMaxShare) {
+      TAICHI_ERROR(cluster_->Now(), "autopilot: node %zu share %g exceeds the cap of %g", i,
+                   share, kMaxShare);
     }
     if (cluster_->alive(i)) {
       prev_dp_work_[i] = cluster_->node(i).TotalDpWork();
@@ -179,7 +174,6 @@ void Autopilot::JudgePending(const SloMonitor::Report& report, sim::SimTime now)
     fail_streak_[i] = std::min(fail_streak_[i] + 1, config_.max_backoff_exp);
     cooldown_until_[i] =
         window_ + (static_cast<size_t>(config_.cooldown_windows) << fail_streak_[i]);
-    ++backoffs_;
     Log(now, Act::kBackoff, static_cast<int>(i), -1, s.value);
   }
 }
@@ -207,7 +201,6 @@ void Autopilot::UpdateDpBoost(const std::vector<double>& util, sim::SimTime now)
       if (boost_hi_streak_[i] >= config_.hysteresis_windows) {
         bed.SetDpBoost(true);
         boost_hi_streak_[i] = 0;
-        ++boosts_;
         Log(now, Act::kDpBoost, static_cast<int>(i), -1, util[i]);
       }
     } else {
@@ -216,7 +209,6 @@ void Autopilot::UpdateDpBoost(const std::vector<double>& util, sim::SimTime now)
       if (boost_lo_streak_[i] >= config_.hysteresis_windows) {
         bed.SetDpBoost(false);
         boost_lo_streak_[i] = 0;
-        ++reverts_;
         Log(now, Act::kDpRevert, static_cast<int>(i), -1, util[i]);
       }
     }
@@ -224,8 +216,8 @@ void Autopilot::UpdateDpBoost(const std::vector<double>& util, sim::SimTime now)
 }
 
 // The escalation ladder, hottest node first: enable Tai Chi -> migrate one
-// unit of VM share to the coolest viable target -> shed background load
-// fleet-wide (once per window, only while the whole fleet breaches).
+// unit of VM share (MigrationTarget) -> shed background load fleet-wide
+// (once per window, only while the whole fleet breaches).
 int Autopilot::Remediate(const SloMonitor::Report& report, sim::SimTime now) {
   if (window_ < settle_until_) {
     return 0;
@@ -275,21 +267,16 @@ int Autopilot::Remediate(const SloMonitor::Report& report, sim::SimTime now) {
     }
     if (!bed.taichi_enabled()) {
       bed.EnableTaiChi();
-      ++enables_;
       Log(now, Act::kEnable, c.node, -1, c.value);
       NoteAction(i, report);
       ++actions;
       continue;
     }
-    if (lopsided && source_ != nullptr && units_[i] > 0) {
-      const int target = monitor_.CoolestTarget(placer_, config_.unit_spec, c.node);
-      if (target >= 0 && source_->MigrateVmShare(i, static_cast<size_t>(target),
-                                                 config_.migrate_unit)) {
-        placer_.Release(c.node, config_.unit_spec);
-        placer_.PlaceOn(target, config_.unit_spec);
-        --units_[i];
-        ++units_[static_cast<size_t>(target)];
-        ++migrations_;
+    if (lopsided) {
+      // The source refuses a donor holding less than one unit.
+      const int target = MigrationTarget(report, i);
+      if (target >= 0 &&
+          source_.MigrateVmShare(i, static_cast<size_t>(target), kMigrateUnit)) {
         Log(now, Act::kMigrate, c.node, target, c.value);
         NoteAction(i, report);
         ++actions;
@@ -303,7 +290,6 @@ int Autopilot::Remediate(const SloMonitor::Report& report, sim::SimTime now) {
       shed_factor_ -= config_.shed_step;
       ApplyShed();
       shed_this_window = true;
-      ++sheds_;
       Log(now, Act::kShed, -1, -1, shed_factor_);
       NoteAction(i, report);
       ++actions;
@@ -313,6 +299,31 @@ int Autopilot::Remediate(const SloMonitor::Report& report, sim::SimTime now) {
     settle_until_ = window_ + static_cast<size_t>(config_.settle_windows);
   }
   return actions;
+}
+
+// The node that takes a unit of share leaving `from`: alive, neither a
+// hotspot nor breaching in `report`, and with room for the unit under
+// kMaxShare. The least share wins; strict < keeps ties at the lowest node
+// id, deterministic across reruns and thread counts. -1 when none
+// qualifies.
+int Autopilot::MigrationTarget(const SloMonitor::Report& report, size_t from) const {
+  int target = -1;
+  double least = 0.0;
+  for (size_t i = 0; i < report.nodes.size(); ++i) {
+    const SloMonitor::NodeStat& s = report.nodes[i];
+    if (i == from || !cluster_->alive(i) || s.hotspot || s.breach) {
+      continue;  // Never aim a move at a node that is itself suffering.
+    }
+    const double share = source_.VmShare(i);
+    if (share + kMigrateUnit > kMaxShare) {
+      continue;
+    }
+    if (target < 0 || share < least) {
+      target = static_cast<int>(i);
+      least = share;
+    }
+  }
+  return target;
 }
 
 // The unwind path, one step per qualifying window: restore shed background
@@ -325,7 +336,6 @@ void Autopilot::Recover(const SloMonitor::Report& report, sim::SimTime now) {
   if (shed_factor_ < 1.0 - 1e-9) {
     shed_factor_ = std::min(1.0, shed_factor_ + config_.shed_step);
     ApplyShed();
-    ++restores_;
     Log(now, Act::kRestore, -1, -1, shed_factor_);
     healthy_streak_ = 0;
     return;
@@ -343,7 +353,6 @@ void Autopilot::Recover(const SloMonitor::Report& report, sim::SimTime now) {
     }
     const double value = i < report.nodes.size() ? report.nodes[i].value : 0.0;
     bed.DisableTaiChi();
-    ++disables_;
     Log(now, Act::kDisable, static_cast<int>(i), -1, value);
     calm_streak_[i] = 0;
     healthy_streak_ = 0;
@@ -373,6 +382,11 @@ void Autopilot::Log(sim::SimTime at, Act act, int node, int target, double value
   decisions_.push_back({at, act, node, target, value});
 }
 
+uint64_t Autopilot::Count(Act act) const {
+  return static_cast<uint64_t>(std::count_if(decisions_.begin(), decisions_.end(),
+                                             [act](const Decision& d) { return d.act == act; }));
+}
+
 double Autopilot::DpUtilization(size_t node, sim::Duration elapsed) {
   exp::Testbed& bed = cluster_->node(node);
   const sim::Duration work = bed.TotalDpWork();
@@ -386,16 +400,13 @@ double Autopilot::DpUtilization(size_t node, sim::Duration elapsed) {
 }
 
 void Autopilot::OnNodeCrash(Cluster& cluster, size_t node) {
-  if (hook_id_ == 0 || node >= units_.size()) {
+  if (hook_id_ == 0) {
     return;
   }
   // Listeners run before the Testbed is torn down, so the Tai Chi state is
   // still readable. A node crashed mid-drain wanted Tai Chi off: it stays
   // baseline on restart.
   was_enabled_[node] = cluster.node(node).taichi_enabled();
-  for (int u = 0; u < units_[node]; ++u) {
-    placer_.Release(static_cast<int>(node), config_.unit_spec);
-  }
   breach_streak_[node] = 0;
   calm_streak_[node] = 0;
   fail_streak_[node] = 0;
@@ -403,32 +414,23 @@ void Autopilot::OnNodeCrash(Cluster& cluster, size_t node) {
   boost_lo_streak_[node] = 0;
   judge_[node].active = false;
   prev_dp_work_[node] = 0;
-  ++evictions_;
+  // The node keeps its VM share while it is down: it takes no arrivals, and
+  // MigrationTarget skips dead nodes.
   Log(cluster.Now(), Act::kEvict, static_cast<int>(node), -1,
-      static_cast<double>(units_[node]));
+      static_cast<double>(std::llround(source_.VmShare(node))));
 }
 
 void Autopilot::OnNodeRestart(Cluster& cluster, size_t node) {
-  if (hook_id_ == 0 || node >= units_.size() || !cluster.alive(node)) {
+  if (hook_id_ == 0 || !cluster.alive(node)) {
     return;
   }
   // Registration order puts the traffic source before the autopilot, so the
   // node's load is already re-provisioned by the time this runs.
-  int readmitted = 0;
-  for (int u = 0; u < units_[node]; ++u) {
-    if (!placer_.PlaceOn(static_cast<int>(node), config_.unit_spec).admitted) {
-      break;  // Cannot happen on a freshly-released node; stay consistent.
-    }
-    ++readmitted;
-  }
-  units_[node] = readmitted;
   prev_dp_work_[node] = 0;  // Fresh Testbed: DP-work counter restarts at zero.
-  ++readmits_;
   Log(cluster.Now(), Act::kReadmit, static_cast<int>(node), -1,
-      static_cast<double>(readmitted));
+      static_cast<double>(std::llround(source_.VmShare(node))));
   if (was_enabled_[node]) {
     cluster.node(node).EnableTaiChi();
-    ++enables_;
     Log(cluster.Now(), Act::kEnable, static_cast<int>(node), -1, 0.0);
   }
   if (shed_factor_ < 1.0 - 1e-9) {
@@ -452,47 +454,9 @@ int Autopilot::enabled_vcpus() const {
     if (!cluster_->alive(i) || !cluster_->node(i).taichi_enabled()) {
       continue;
     }
-    const exp::TestbedConfig& cfg = cluster_->node(i).config();
-    total += cfg.taichi.num_vcpus == 0 ? cfg.dp_cpu_count : cfg.taichi.num_vcpus;
+    total += cluster_->node(i).config().taichi.num_vcpus;
   }
   return total;
-}
-
-std::string Autopilot::DecisionLogJson() const {
-  obs::JsonWriter w;
-  w.BeginArray();
-  for (const Decision& d : decisions_) {
-    w.BeginObject()
-        .Field("at_ms", sim::ToSeconds(d.at) * 1e3)
-        .Field("action", ToString(d.act))
-        .Field("node", d.node)
-        .Field("target", d.target)
-        .Field("value", d.value)
-        .EndObject();
-  }
-  w.EndArray();
-  return w.str();
-}
-
-void Autopilot::RegisterMetrics(obs::MetricsRegistry& registry) {
-  registry.AddCounterFn("autopilot.windows", [this] { return static_cast<uint64_t>(window_); });
-  registry.AddCounterFn("autopilot.decisions",
-                        [this] { return static_cast<uint64_t>(decisions_.size()); });
-  registry.AddCounterFn("autopilot.enables", [this] { return enables_; });
-  registry.AddCounterFn("autopilot.disables", [this] { return disables_; });
-  registry.AddCounterFn("autopilot.migrations", [this] { return migrations_; });
-  registry.AddCounterFn("autopilot.dp_boosts", [this] { return boosts_; });
-  registry.AddCounterFn("autopilot.dp_reverts", [this] { return reverts_; });
-  registry.AddCounterFn("autopilot.sheds", [this] { return sheds_; });
-  registry.AddCounterFn("autopilot.restores", [this] { return restores_; });
-  registry.AddCounterFn("autopilot.evictions", [this] { return evictions_; });
-  registry.AddCounterFn("autopilot.readmits", [this] { return readmits_; });
-  registry.AddCounterFn("autopilot.backoffs", [this] { return backoffs_; });
-  registry.AddGauge("autopilot.shed_factor", [this] { return shed_factor_; });
-  registry.AddGauge("autopilot.enabled_nodes",
-                    [this] { return static_cast<double>(enabled_nodes()); });
-  registry.AddGauge("autopilot.enabled_vcpus",
-                    [this] { return static_cast<double>(enabled_vcpus()); });
 }
 
 }  // namespace taichi::fleet

@@ -11,10 +11,10 @@
 //      steady state runs Tai Chi only where the load demands it — the
 //      "fewer CPUs than static placement" end state.
 //   2. Live migration — a breaching node that already runs Tai Chi sheds one
-//      unit of VM-arrival share to the coolest viable target
-//      (SloMonitor::CoolestTarget honors Placer::Fits, aliveness and the
-//      target's own SLO), executed as Placer Release/PlaceOn plus
-//      TrafficSource::MigrateVmShare.
+//      unit of VM-arrival share through TrafficSource::MigrateVmShare to the
+//      node with the least share that is alive, neither a hotspot nor
+//      breaching, and has room for the unit under a per-node share cap. The
+//      source's share is the only record of who carries what.
 //   3. §8 inverse repartitioning — per-node DP-utilization hysteresis
 //      triggers Testbed::SetDpBoost when the data plane spikes (donations
 //      pause, DP runs undisturbed) and reverts when it subsides.
@@ -27,24 +27,24 @@
 // controller touches the node; every action opens a global settle period and
 // a per-node cooldown; an action that does not improve the node's windowed
 // percentile doubles that node's cooldown exponentially (capped) so the
-// controller backs off instead of flapping. Chaos-killed nodes are evicted
-// from the placer's accounting and re-admitted (and re-enabled, if they ran
-// Tai Chi) on restart via the shared NodeLifecycleListener path.
+// controller backs off instead of flapping. A chaos-killed node's controller
+// state is reset (evict) and, on restart, Tai Chi is re-enabled if it ran
+// (readmit) via the shared NodeLifecycleListener path; its VM share stays
+// with it throughout.
 //
 // Determinism contract: every decision is a pure function of the SLO
-// reports, the placer accounting and the fixed config — stable orderings,
+// reports, the source's VM shares and the fixed config — stable orderings,
 // no wall clock, all mutation at epoch boundaries on the fleet driver
 // thread. The decision log (and therefore the verdict JSON embedding it) is
-// byte-identical across `--threads` values.
+// byte-identical across `--threads` values; every action count is read from
+// it.
 #ifndef SRC_FLEET_AUTOPILOT_H_
 #define SRC_FLEET_AUTOPILOT_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/fleet/cluster.h"
-#include "src/fleet/placer.h"
 #include "src/fleet/slo_monitor.h"
 #include "src/scenario/traffic_source.h"
 
@@ -65,13 +65,6 @@ struct AutopilotConfig {
   // breaching, or its percentile dropped by at least this fraction.
   double min_improvement = 0.05;
   int max_actions_per_window = 2;
-
-  // --- Live migration ---
-  // The migration quantum: one unit of TrafficSource VM share, carried in
-  // the placer's books as `unit_spec`.
-  double migrate_unit = 1.0;
-  WorkloadSpec unit_spec{"vm-share", 2, 0.0, 8.0};
-  NodeCapacity capacity;
 
   // --- §8 inverse repartitioning (DP boost) ---
   // Windowed DP utilization (busy fraction per active DP CPU) thresholds;
@@ -100,8 +93,8 @@ class Autopilot : public scenario::NodeLifecycleListener {
     kDpRevert,  // SetDpBoost(false): spike subsided.
     kShed,      // Background load shed one step fleet-wide.
     kRestore,   // One shed step restored.
-    kEvict,     // Crash: node's units released from the placer.
-    kReadmit,   // Restart: units re-admitted (Tai Chi re-enabled if it ran).
+    kEvict,     // Crash: node's controller state reset; value = its units.
+    kReadmit,   // Restart: node back (Tai Chi re-enabled if it ran).
     kBackoff,   // A judged action did not improve; cooldown doubled.
   };
 
@@ -111,23 +104,24 @@ class Autopilot : public scenario::NodeLifecycleListener {
     int node = -1;    // -1 for fleet-scope actions (shed/restore).
     int target = -1;  // Migration target; -1 otherwise.
     double value = 0.0;  // Context: node percentile, DP util or shed factor.
+
+    bool operator==(const Decision&) const = default;
   };
 
-  // `source` provides VmShare/MigrateVmShare (may be nullptr: migration is
-  // then skipped and the escalation goes straight to shedding).
-  Autopilot(Cluster* cluster, scenario::TrafficSource* source, AutopilotConfig config);
+  // `source` holds each node's VM share and moves it (VmShare /
+  // MigrateVmShare); it must outlive the autopilot.
+  Autopilot(Cluster* cluster, scenario::TrafficSource& source, AutopilotConfig config);
   ~Autopilot();
   Autopilot(const Autopilot&) = delete;
   Autopilot& operator=(const Autopilot&) = delete;
 
-  // Seeds the placer from the source's current VM shares and registers the
-  // epoch hook. Call after the source has Start()ed (shares exist then);
-  // Arm/Disarm pair once per run. To observe chaos, also register the
-  // autopilot with ChaosEngine::AddListener — after the traffic source, so
-  // restarts re-provision load before Tai Chi is re-enabled.
+  // Resets the controller state and registers the epoch hook. Call after the
+  // source has Start()ed; Arm/Disarm pair once per run. To observe chaos,
+  // also register the autopilot with ChaosEngine::AddListener — after the
+  // traffic source, so restarts re-provision load before Tai Chi is
+  // re-enabled.
   void Arm();
   void Disarm();
-  bool armed() const { return hook_id_ != 0; }
 
   // --- scenario::NodeLifecycleListener ---
   void OnNodeCrash(Cluster& cluster, size_t node) override;
@@ -135,29 +129,14 @@ class Autopilot : public scenario::NodeLifecycleListener {
 
   // --- Inspection / reporting ---
   const std::vector<Decision>& decisions() const { return decisions_; }
-  // The decision log as a JSON array (deterministic bytes; see header note).
-  std::string DecisionLogJson() const;
-  // Registers autopilot.* counters/gauges (fleet-scope registry).
-  void RegisterMetrics(obs::MetricsRegistry& registry);
+  // How many times the log records `act`.
+  uint64_t Count(Act act) const;
 
   size_t windows() const { return window_; }
   double shed_factor() const { return shed_factor_; }
   // Nodes currently running Tai Chi / their total vCPU count.
   int enabled_nodes() const;
   int enabled_vcpus() const;
-  const Placer& placer() const { return placer_; }
-  const SloMonitor& monitor() const { return monitor_; }
-
-  uint64_t enables() const { return enables_; }
-  uint64_t disables() const { return disables_; }
-  uint64_t migrations() const { return migrations_; }
-  uint64_t boosts() const { return boosts_; }
-  uint64_t reverts() const { return reverts_; }
-  uint64_t sheds() const { return sheds_; }
-  uint64_t restores() const { return restores_; }
-  uint64_t evictions() const { return evictions_; }
-  uint64_t readmits() const { return readmits_; }
-  uint64_t backoffs() const { return backoffs_; }
 
  private:
   // Pending outcome judgment for the last action on a node.
@@ -172,6 +151,7 @@ class Autopilot : public scenario::NodeLifecycleListener {
   void JudgePending(const SloMonitor::Report& report, sim::SimTime now);
   void UpdateDpBoost(const std::vector<double>& util, sim::SimTime now);
   int Remediate(const SloMonitor::Report& report, sim::SimTime now);
+  int MigrationTarget(const SloMonitor::Report& report, size_t from) const;
   void Recover(const SloMonitor::Report& report, sim::SimTime now);
   void ApplyShed();
   void NoteAction(size_t node, const SloMonitor::Report& report);
@@ -179,10 +159,9 @@ class Autopilot : public scenario::NodeLifecycleListener {
   double DpUtilization(size_t node, sim::Duration elapsed);
 
   Cluster* cluster_;
-  scenario::TrafficSource* source_;
+  scenario::TrafficSource& source_;
   AutopilotConfig config_;
   SloMonitor monitor_;
-  Placer placer_;
 
   uint64_t hook_id_ = 0;
   sim::SimTime next_observe_ = 0;
@@ -197,7 +176,6 @@ class Autopilot : public scenario::NodeLifecycleListener {
   std::vector<int> calm_streak_;
   std::vector<int> fail_streak_;        // Consecutive non-improving actions.
   std::vector<size_t> cooldown_until_;  // Window index per node.
-  std::vector<int> units_;              // Whole migrate_units in the placer's books.
   std::vector<int> boost_hi_streak_;
   std::vector<int> boost_lo_streak_;
   std::vector<bool> was_enabled_;       // Tai Chi state at crash time.
@@ -205,16 +183,6 @@ class Autopilot : public scenario::NodeLifecycleListener {
   std::vector<Judge> judge_;
 
   std::vector<Decision> decisions_;
-  uint64_t enables_ = 0;
-  uint64_t disables_ = 0;
-  uint64_t migrations_ = 0;
-  uint64_t boosts_ = 0;
-  uint64_t reverts_ = 0;
-  uint64_t sheds_ = 0;
-  uint64_t restores_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t readmits_ = 0;
-  uint64_t backoffs_ = 0;
 };
 
 const char* ToString(Autopilot::Act act);

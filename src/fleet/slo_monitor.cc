@@ -14,8 +14,7 @@ SloMonitor::SloMonitor(Cluster* cluster, SloConfig config)
   }
 }
 
-SloMonitor::Report SloMonitor::Evaluate(const std::vector<int>& subset,
-                                        std::vector<Baseline>* baselines) const {
+SloMonitor::Report SloMonitor::Observe(const std::vector<int>& subset) {
   Report report;
   report.at = cluster_->Now();
   report.nodes.resize(cluster_->size());
@@ -39,10 +38,9 @@ SloMonitor::Report SloMonitor::Evaluate(const std::vector<int>& subset,
     // has recorded. (Since() likewise ignores a baseline that is not an
     // earlier state of the summary, e.g. after a re-registration.)
     const uint32_t incarnation = cluster_->incarnation(i);
-    const sim::Summary window =
-        baselines != nullptr && (*baselines)[i].incarnation == incarnation
-            ? metric->Since((*baselines)[i].summary)
-            : *metric;
+    const sim::Summary window = baseline_[i].incarnation == incarnation
+                                    ? metric->Since(baseline_[i].summary)
+                                    : *metric;
     if (in_subset[i]) {
       fleet.Merge(window);
     }
@@ -50,8 +48,8 @@ SloMonitor::Report SloMonitor::Evaluate(const std::vector<int>& subset,
     // subset keeps its baseline, so a later Observe() over a different
     // subset still sees every sample that arrived in between instead of
     // silently dropping them.
-    if (baselines != nullptr && in_subset[i]) {
-      (*baselines)[i] = {*metric, incarnation};
+    if (in_subset[i]) {
+      baseline_[i] = {*metric, incarnation};
     }
     stat.samples = window.count();
     if (!window.empty()) {
@@ -107,40 +105,6 @@ void SloMonitor::AttributeHeavyFlows(Report* report) const {
         {e.key, e.bytes, e.packets,
          fleet_total > 0 ? static_cast<double>(e.bytes) / fleet_total : 0.0});
   }
-}
-
-SloMonitor::Report SloMonitor::Observe(const std::vector<int>& subset) {
-  last_ = Evaluate(subset, &baseline_);
-  return last_;
-}
-
-SloMonitor::Report SloMonitor::Cumulative() const {
-  return Evaluate({}, nullptr);
-}
-
-int SloMonitor::CoolestTarget(const Placer& placer, const WorkloadSpec& unit,
-                              int exclude) const {
-  int coolest = -1;
-  double best = 0.0;
-  for (size_t i = 0; i < placer.size() && i < last_.nodes.size(); ++i) {
-    if (static_cast<int>(i) == exclude || last_.nodes[i].hotspot || last_.nodes[i].breach) {
-      continue;  // Never aim a move at a node that is itself suffering.
-    }
-    if (i < cluster_->size() && !cluster_->alive(i)) {
-      continue;  // Dead nodes take no traffic.
-    }
-    if (!placer.Fits(i, unit)) {
-      continue;  // The placer would refuse the admission anyway.
-    }
-    const double score = placer.LoadScore(i);
-    // Strict < keeps the tie-break at the lowest node id: deterministic
-    // across reruns and thread counts.
-    if (coolest < 0 || score < best) {
-      coolest = static_cast<int>(i);
-      best = score;
-    }
-  }
-  return coolest;
 }
 
 }  // namespace taichi::fleet

@@ -1,8 +1,9 @@
 // Fleet SLO monitoring: aggregates one summary metric (default: the VM
 // startup latency that is the paper's headline CP SLO) across every node
-// into fleet percentiles, flags breaches and hotspot nodes, and names the
-// coolest migration target by a Placer's accounting. Percentiles carry
-// sim::Summary's bucket error (within 2^-8 of the exact order statistic).
+// into fleet percentiles, and flags breaches and hotspot nodes. It only
+// measures; acting on a report is the caller's job (Rollout, Autopilot).
+// Percentiles carry sim::Summary's bucket error (within 2^-8 of the exact
+// order statistic).
 //
 // Observation is windowed: each Observe() evaluates only the samples that
 // arrived since the previous Observe(), which is what a rollout gate needs
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "src/fleet/cluster.h"
-#include "src/fleet/placer.h"
 
 namespace taichi::fleet {
 
@@ -78,18 +78,6 @@ class SloMonitor {
   // covers `subset` node ids when given, all nodes otherwise; per-node stats
   // are always computed for every node (over its current, unconsumed window).
   Report Observe(const std::vector<int>& subset = {});
-  // Same evaluation over all samples ever recorded; does not move the window.
-  Report Cumulative() const;
-
-  const Report& last() const { return last_; }
-  const SloConfig& config() const { return config_; }
-
-  // The coolest viable migration target for load leaving `exclude`, by the
-  // placer's load score and the last report: alive, not a hotspot, not
-  // breaching, and with room for `unit` (the workload quantum a move would
-  // carry) per Placer::Fits — never a target the placer would refuse. Ties
-  // go to the lowest node id. -1 when nothing qualifies.
-  int CoolestTarget(const Placer& placer, const WorkloadSpec& unit, int exclude) const;
 
  private:
   // A node's summary as of the last Observe() that evaluated it, and the
@@ -99,15 +87,11 @@ class SloMonitor {
     uint32_t incarnation = 0;
   };
 
-  // Windowed when `baselines` is given (and advanced for `subset`);
-  // cumulative otherwise.
-  Report Evaluate(const std::vector<int>& subset, std::vector<Baseline>* baselines) const;
   void AttributeHeavyFlows(Report* report) const;
 
   Cluster* cluster_;
   SloConfig config_;
   std::vector<Baseline> baseline_;  // Per node.
-  Report last_;
 };
 
 }  // namespace taichi::fleet

@@ -35,6 +35,11 @@ ChaosEngine::~ChaosEngine() {
   }
 }
 
+int ChaosEngine::Count(ChaosAction::Kind kind) const {
+  return static_cast<int>(std::count_if(fired_.begin(), fired_.end(),
+                                        [kind](const Fired& f) { return f.kind == kind; }));
+}
+
 void ChaosEngine::AddListener(NodeLifecycleListener* listener) {
   listeners_.push_back(listener);
 }
@@ -62,7 +67,6 @@ void ChaosEngine::Crash(size_t node, sim::SimTime now) {
     l->OnNodeCrash(*cluster_, node);
   }
   cluster_->CrashNode(node);
-  ++crashes_;
   fired_.push_back({now, ChaosAction::Kind::kCrash, static_cast<int>(node)});
 }
 
@@ -71,7 +75,6 @@ void ChaosEngine::Restart(size_t node, sim::SimTime now) {
     return;
   }
   cluster_->RestartNode(node);
-  ++restarts_;
   fired_.push_back({now, ChaosAction::Kind::kRestart, static_cast<int>(node)});
   for (NodeLifecycleListener* l : listeners_) {
     l->OnNodeRestart(*cluster_, node);
@@ -95,23 +98,22 @@ void ChaosEngine::Apply(const ChaosAction& action, sim::SimTime now) {
     case ChaosAction::Kind::kAccelStall:
       if (cluster_->alive(node)) {
         cluster_->node(node).StallAccelerator(action.duration);
-        ++stalls_;
         fired_.push_back({now, action.kind, action.node});
       }
       return;
     case ChaosAction::Kind::kCpFlood:
       if (cluster_->alive(node)) {
-        cluster_->node(node).SpawnCpFlood(action.count, action.iterations,
-                                          0xf100d ^ (static_cast<uint64_t>(floods_) << 8));
-        ++floods_;
+        // Seeded by the floods fired before this one.
+        cluster_->node(node).SpawnCpFlood(
+            action.count, action.iterations,
+            0xf100d ^ (static_cast<uint64_t>(Count(action.kind)) << 8));
         fired_.push_back({now, action.kind, action.node});
       }
       return;
     case ChaosAction::Kind::kHotplugStorm:
       if (cluster_->alive(node)) {
         cluster_->node(node).SpawnHotplugStorm(action.count, action.duration,
-                                               static_cast<uint64_t>(storms_));
-        ++storms_;
+                                               static_cast<uint64_t>(Count(action.kind)));
         fired_.push_back({now, action.kind, action.node});
       }
       return;

@@ -99,11 +99,8 @@ class ChaosEngine {
   void Quiesce() { quiesced_ = true; }
 
   const std::vector<Fired>& fired() const { return fired_; }
-  int crashes() const { return crashes_; }
-  int restarts() const { return restarts_; }
-  int stalls() const { return stalls_; }
-  int floods() const { return floods_; }
-  int storms() const { return storms_; }
+  // How many faults of `kind` have fired.
+  int Count(ChaosAction::Kind kind) const;
   // Crashed nodes whose restart has not fired yet.
   size_t pending_restarts() const { return pending_.size(); }
 
@@ -121,11 +118,6 @@ class ChaosEngine {
   std::vector<ChaosAction> pending_;     // Auto-restarts, sorted by time.
   std::vector<Fired> fired_;
   bool quiesced_ = false;
-  int crashes_ = 0;
-  int restarts_ = 0;
-  int stalls_ = 0;
-  int floods_ = 0;
-  int storms_ = 0;
   std::vector<NodeLifecycleListener*> listeners_;
 };
 

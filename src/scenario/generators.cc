@@ -25,7 +25,15 @@ void Fig3Source::Stop(fleet::Cluster& cluster) {
     return;
   }
   BeforeStop(cluster);
+  if (hook_id_ != 0) {
+    cluster.RemoveEpochHook(hook_id_);
+    hook_id_ = 0;
+  }
   gen_->Stop();
+}
+
+void Fig3Source::AddEpochHook(fleet::Cluster& cluster, fleet::Cluster::EpochHook hook) {
+  hook_id_ = cluster.AddEpochHook(std::move(hook));
 }
 
 void Fig3Source::OnNodeCrash(fleet::Cluster& cluster, size_t node) {
@@ -49,7 +57,7 @@ void Fig3Source::OnNodeRestart(fleet::Cluster& cluster, size_t node) {
 void DiurnalSource::AfterStart(fleet::Cluster& cluster) {
   day_zero_ = cluster.Now();
   fleet::Cluster* cl = &cluster;
-  hook_id_ = cluster.AddEpochHook([this, cl](sim::SimTime now) { Modulate(*cl, now); });
+  AddEpochHook(cluster, [this, cl](sim::SimTime now) { Modulate(*cl, now); });
   Modulate(cluster, cluster.Now());
 }
 
@@ -65,13 +73,6 @@ void DiurnalSource::Modulate(fleet::Cluster& cluster, sim::SimTime now) {
     if (cluster.alive(i)) {
       cluster.node(i).ScaleBackgroundLoad(factor_);
     }
-  }
-}
-
-void DiurnalSource::BeforeStop(fleet::Cluster& cluster) {
-  if (hook_id_ != 0) {
-    cluster.RemoveEpochHook(hook_id_);
-    hook_id_ = 0;
   }
 }
 
@@ -259,7 +260,7 @@ void DdosSource::AfterRestart(fleet::Cluster& cluster, size_t node) {
 
 void SurgeSource::AfterStart(fleet::Cluster& cluster) {
   applied_ = 1.0;
-  hook_id_ = cluster.AddEpochHook([this](sim::SimTime now) { Modulate(now); });
+  AddEpochHook(cluster, [this](sim::SimTime now) { Modulate(now); });
 }
 
 void SurgeSource::Modulate(sim::SimTime now) {
@@ -268,13 +269,6 @@ void SurgeSource::Modulate(sim::SimTime now) {
   if (f != applied_) {
     applied_ = f;
     gen().set_vm_rate(config_.load.vm_arrival_rate_per_sec * f);
-  }
-}
-
-void SurgeSource::BeforeStop(fleet::Cluster& cluster) {
-  if (hook_id_ != 0) {
-    cluster.RemoveEpochHook(hook_id_);
-    hook_id_ = 0;
   }
 }
 

@@ -2,9 +2,9 @@
 //
 // Fig3Source is the mix itself (the baseline named source) and the base of
 // every generator here: it alone owns the fleet::LoadGen and implements the
-// TrafficSource surface once — Start/Stop, running, live migration and the
-// crash/restart forwarding. Each generator adds one adversarial or
-// time-varying dimension in Fig3Source's protected hooks:
+// TrafficSource surface once — Start/Stop, running, live migration, the
+// crash/restart forwarding and a generator's epoch hook. Each generator adds
+// one adversarial or time-varying dimension in Fig3Source's protected hooks:
 //
 //   DiurnalSource  the whole fleet breathes: a sinusoidal day/night curve
 //                  scales both the DP packet rates and the VM-startup
@@ -78,9 +78,14 @@ class Fig3Source : public TrafficSource {
   // The running mix (valid from Start on).
   fleet::LoadGen& gen() { return *gen_; }
 
+  // Runs `hook` at every epoch boundary from now until Stop, which removes
+  // it after BeforeStop and before the mix stops. Call from AfterStart.
+  void AddEpochHook(fleet::Cluster& cluster, fleet::Cluster::EpochHook hook);
+
  private:
   fleet::LoadGenConfig load_;
   std::unique_ptr<fleet::LoadGen> gen_;
+  uint64_t hook_id_ = 0;
 };
 
 // --- Diurnal -----------------------------------------------------------------
@@ -100,7 +105,6 @@ class DiurnalSource : public Fig3Source {
 
  protected:
   void AfterStart(fleet::Cluster& cluster) override;
-  void BeforeStop(fleet::Cluster& cluster) override;
   void AfterRestart(fleet::Cluster& cluster, size_t node) override;
 
  private:
@@ -109,7 +113,6 @@ class DiurnalSource : public Fig3Source {
   DiurnalConfig config_;
   sim::SimTime day_zero_ = 0;
   double factor_ = 1.0;  // The current day/night factor.
-  uint64_t hook_id_ = 0;
 };
 
 // --- Incast ------------------------------------------------------------------
@@ -166,7 +169,9 @@ struct DdosConfig {
   // control plane with disappears on the victims.
   double utilization = 0.50;
   uint32_t size_bytes = 512;
-  sim::Duration start_after = sim::Millis(40);  // The flood runs until Stop().
+  // The flood runs from here until Stop(). 100 ms is on before a scenario's
+  // 200 ms warmup ends, so every observed window sees it.
+  sim::Duration start_after = sim::Millis(100);
   uint64_t flow_base = 0xdd05;  // One victim service endpoint.
 };
 
@@ -199,12 +204,15 @@ class DdosSource : public Fig3Source {
 // "everyone deploys at once" overload the autopilot's graceful-degradation
 // path is built for. Only the CP arrival rate moves; the DP background knob
 // (ScaleBackgroundLoad) is deliberately left to the autopilot's shedding so
-// the two never fight over the same dial.
+// the two never fight over the same dial. The defaults are long and hard
+// enough that even a fully-enabled Tai Chi fleet cannot absorb the surge:
+// the autopilot's ladder must fall through migration (no target — every
+// node breaches) into shedding.
 struct SurgeConfig {
   fleet::LoadGenConfig load;
-  sim::SimTime start = sim::Millis(500);  // Fleet-clock time the surge hits.
-  sim::Duration duration = sim::Millis(700);
-  double factor = 5.0;
+  sim::SimTime start = sim::Millis(1000);  // Fleet-clock time the surge hits.
+  sim::Duration duration = sim::Millis(1200);
+  double factor = 6.0;
 };
 
 class SurgeSource : public Fig3Source {
@@ -215,14 +223,12 @@ class SurgeSource : public Fig3Source {
 
  protected:
   void AfterStart(fleet::Cluster& cluster) override;
-  void BeforeStop(fleet::Cluster& cluster) override;
 
  private:
   void Modulate(sim::SimTime now);
 
   SurgeConfig config_;
   double applied_ = 1.0;  // The surge multiplier currently applied.
-  uint64_t hook_id_ = 0;
 };
 
 }  // namespace taichi::scenario

@@ -96,7 +96,6 @@ ScenarioSpec BuildScenario(const std::string& name, const ScenarioOptions& opts)
     spec.description = "synchronized fan-in bursts at one victim node";
     IncastConfig icfg;
     icfg.load = mix.load;
-    icfg.victim = 0;
     spec.make_source = [icfg](fleet::Cluster&) -> std::unique_ptr<TrafficSource> {
       return std::make_unique<IncastSource>(icfg);
     };
@@ -109,8 +108,6 @@ ScenarioSpec BuildScenario(const std::string& name, const ScenarioOptions& opts)
         "spoofed-source flood at a victim node; hotspot + attack attribution";
     DdosConfig acfg;
     acfg.load = mix.load;
-    // On before the observed phase starts, so every window sees the flood.
-    acfg.start_after = sim::Millis(100);
     spec.make_source = [acfg](fleet::Cluster&) -> std::unique_ptr<TrafficSource> {
       return std::make_unique<DdosSource>(acfg);
     };
@@ -192,12 +189,12 @@ ScenarioSpec BuildScenario(const std::string& name, const ScenarioOptions& opts)
     spec.autopilot.hysteresis_windows = 2;
     spec.autopilot.settle_windows = 1;
     spec.autopilot.cooldown_windows = 1;
-    spec.autopilot.migrate_unit = 1.0;
 
     if (name == "autopilot-overload") {
-      // Uniform density-2 fleet; a x5 fleet-wide VM-arrival surge nothing
-      // can absorb. Migration has no target (everyone breaches), so the
-      // ladder must fall through to shedding — and unwind it afterwards.
+      // Uniform density-2 fleet; SurgeConfig's default x6 fleet-wide
+      // VM-arrival surge, which nothing can absorb. During it migration has
+      // no target (everyone breaches), so the ladder must fall through to
+      // shedding — and unwind it afterwards.
       spec.name = name;
       spec.description =
           "fleet-wide demand surge; shed background load, restore after";
@@ -205,12 +202,6 @@ ScenarioSpec BuildScenario(const std::string& name, const ScenarioOptions& opts)
       SurgeConfig scfg;
       scfg.load = omix.load;
       scfg.load.seed = mix.load.seed;
-      scfg.start = sim::Millis(1000);
-      // Long and hard enough that even a fully-enabled Tai Chi fleet cannot
-      // absorb it: the ladder must fall through migration (no target — every
-      // node breaches) into shedding.
-      scfg.duration = sim::Millis(1200);
-      scfg.factor = 6.0;
       spec.cluster.tweak = omix.tweak;
       spec.make_source = [scfg](fleet::Cluster&) -> std::unique_ptr<TrafficSource> {
         return std::make_unique<SurgeSource>(scfg);

@@ -103,8 +103,7 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec) : spec_(std::move(spec)) {
     chaos_->AddListener(source_.get());
   }
   if (spec_.use_autopilot) {
-    autopilot_ = std::make_unique<fleet::Autopilot>(cluster_.get(), source_.get(),
-                                                    spec_.autopilot);
+    autopilot_ = std::make_unique<fleet::Autopilot>(cluster_.get(), *source_, spec_.autopilot);
     if (chaos_ != nullptr) {
       // After the source: a restarted node's load is re-provisioned before
       // the autopilot re-enables Tai Chi on it.
@@ -114,7 +113,6 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec) : spec_(std::move(spec)) {
 }
 
 void ScenarioRunner::AddListener(NodeLifecycleListener* listener) {
-  extra_listeners_.push_back(listener);
   if (chaos_ != nullptr) {
     chaos_->AddListener(listener);
   }
@@ -190,11 +188,11 @@ ScenarioVerdict ScenarioRunner::Run() {
   source_->Stop(*cluster_);
   if (chaos_ != nullptr) {
     chaos_->Disarm();
-    v.crashes = chaos_->crashes();
-    v.restarts = chaos_->restarts();
-    v.stalls = chaos_->stalls();
-    v.floods = chaos_->floods();
-    v.storms = chaos_->storms();
+    v.crashes = chaos_->Count(ChaosAction::Kind::kCrash);
+    v.restarts = chaos_->Count(ChaosAction::Kind::kRestart);
+    v.stalls = chaos_->Count(ChaosAction::Kind::kAccelStall);
+    v.floods = chaos_->Count(ChaosAction::Kind::kCpFlood);
+    v.storms = chaos_->Count(ChaosAction::Kind::kHotplugStorm);
     v.pending_restarts = chaos_->pending_restarts();
   }
   v.alive_at_end = cluster_->alive_count();
@@ -250,24 +248,23 @@ ScenarioVerdict ScenarioRunner::Run() {
     // worse than every window so any finite gate fails.
     a.recovery_windows =
         (post_fault > 0 && last_unhealthy == post_fault) ? v.windows + 1 : last_unhealthy;
-    a.enables = autopilot_->enables();
-    a.disables = autopilot_->disables();
-    a.migrations = autopilot_->migrations();
-    a.dp_boosts = autopilot_->boosts();
-    a.dp_reverts = autopilot_->reverts();
-    a.sheds = autopilot_->sheds();
-    a.restores = autopilot_->restores();
-    a.evictions = autopilot_->evictions();
-    a.readmits = autopilot_->readmits();
-    a.backoffs = autopilot_->backoffs();
+    using Act = fleet::Autopilot::Act;
+    a.enables = autopilot_->Count(Act::kEnable);
+    a.disables = autopilot_->Count(Act::kDisable);
+    a.migrations = autopilot_->Count(Act::kMigrate);
+    a.dp_boosts = autopilot_->Count(Act::kDpBoost);
+    a.dp_reverts = autopilot_->Count(Act::kDpRevert);
+    a.sheds = autopilot_->Count(Act::kShed);
+    a.restores = autopilot_->Count(Act::kRestore);
+    a.evictions = autopilot_->Count(Act::kEvict);
+    a.readmits = autopilot_->Count(Act::kReadmit);
+    a.backoffs = autopilot_->Count(Act::kBackoff);
     a.shed_factor = autopilot_->shed_factor();
     a.enabled_nodes = autopilot_->enabled_nodes();
     a.enabled_vcpus = autopilot_->enabled_vcpus();
     for (size_t i = 0; i < cluster_->size(); ++i) {
       if (cluster_->alive(i)) {
-        const exp::TestbedConfig& cfg = cluster_->node(i).config();
-        a.static_vcpus +=
-            cfg.taichi.num_vcpus == 0 ? cfg.dp_cpu_count : cfg.taichi.num_vcpus;
+        a.static_vcpus += cluster_->node(i).config().taichi.num_vcpus;
       }
     }
     a.decisions = autopilot_->decisions();

@@ -184,10 +184,6 @@ class ScenarioRunner {
   // Valid after construction; the cluster outlives Run() so callers can
   // pull traces/flow sketches for sidecar outputs.
   fleet::Cluster& cluster() { return *cluster_; }
-  TrafficSource* source() { return source_.get(); }
-  ChaosEngine* chaos() { return chaos_.get(); }
-  fleet::Autopilot* autopilot() { return autopilot_.get(); }
-  const fleet::SloMonitor& monitor() const { return *monitor_; }
   // One SLO report per observed window, in order (valid after Run()).
   const std::vector<fleet::SloMonitor::Report>& window_reports() const {
     return window_reports_;
@@ -204,7 +200,6 @@ class ScenarioRunner {
   std::unique_ptr<ChaosEngine> chaos_;
   std::unique_ptr<fleet::Autopilot> autopilot_;
   std::unique_ptr<fleet::SloMonitor> monitor_;
-  std::vector<NodeLifecycleListener*> extra_listeners_;
   std::vector<fleet::SloMonitor::Report> window_reports_;
   bool ran_ = false;
 };

@@ -1,6 +1,7 @@
 // Fleet autopilot: hysteresis, the escalation ladder (enable -> migrate ->
-// shed), outcome-judged backoff, §8 DP-boost hysteresis, crash evict /
-// readmit / re-enable, and decision-log determinism.
+// shed), the migration target rule over the source's VM shares,
+// outcome-judged backoff, §8 DP-boost hysteresis, crash evict / readmit /
+// re-enable, and decision-log determinism.
 //
 // The SLO signal is driven through a hand-fed summary (like the SloMonitor
 // tests): each "window" adds per-node latency samples and steps the cluster
@@ -9,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "src/exp/testbed.h"
@@ -23,6 +23,8 @@ namespace {
 
 constexpr int kNodes = 4;
 constexpr sim::Duration kWindow = sim::Millis(10);
+
+using Act = fleet::Autopilot::Act;
 
 // Records migrations and carries per-node shares; injects nothing.
 class FakeSource : public scenario::TrafficSource {
@@ -86,6 +88,28 @@ struct Harness {
     cluster.RunFor(kWindow);
   }
 
+  // Node 0 earns Tai Chi (windows 1-2), then improves without leaving the
+  // breach (windows 3-4): backoff stays quiet and hysteresis re-accumulates,
+  // so window 4 takes the migrate rung.
+  void EnableThenMigrateNode0() {
+    Window({500, 10, 10, 10});
+    Window({500, 10, 10, 10});
+    Window({300, 10, 10, 10});
+    Window({300, 10, 10, 10});
+  }
+
+  // The target of the one migration logged, or -1 if none was.
+  static int MigrationTarget(const fleet::Autopilot& ap) {
+    int target = -1;
+    for (const fleet::Autopilot::Decision& d : ap.decisions()) {
+      if (d.act == Act::kMigrate) {
+        EXPECT_EQ(target, -1) << "more than one migration";
+        target = d.target;
+      }
+    }
+    return target;
+  }
+
   fleet::Cluster cluster;
   sim::Summary lat[kNodes];
   FakeSource src;
@@ -94,52 +118,117 @@ struct Harness {
 
 TEST(Autopilot, BreachMustPersistHysteresisWindowsBeforeEnable) {
   Harness h;
-  fleet::Autopilot ap(&h.cluster, &h.src, h.cfg);
+  fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
   ap.Arm();
 
   h.Window({500, 10, 10, 10});
-  EXPECT_EQ(ap.enables(), 0u) << "one breach window must not trigger";
+  EXPECT_EQ(ap.Count(Act::kEnable), 0u) << "one breach window must not trigger";
   EXPECT_FALSE(h.cluster.node(0).taichi_enabled());
 
   h.Window({500, 10, 10, 10});
-  EXPECT_EQ(ap.enables(), 1u);
+  EXPECT_EQ(ap.Count(Act::kEnable), 1u);
   EXPECT_TRUE(h.cluster.node(0).taichi_enabled());
   EXPECT_FALSE(h.cluster.node(1).taichi_enabled());
   ASSERT_FALSE(ap.decisions().empty());
-  EXPECT_EQ(ap.decisions()[0].act, fleet::Autopilot::Act::kEnable);
+  EXPECT_EQ(ap.decisions()[0].act, Act::kEnable);
   EXPECT_EQ(ap.decisions()[0].node, 0);
 }
 
-TEST(Autopilot, MigrationMovesShareAndPlacerAccounting) {
+TEST(Autopilot, MigrationMovesOneUnitToTheLowestIdOnEqualShares) {
   Harness h;
-  fleet::Autopilot ap(&h.cluster, &h.src, h.cfg);
+  fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
   ap.Arm();
-  EXPECT_EQ(ap.placer().vms(0), 2 * h.cfg.unit_spec.vms);  // 2 seeded units.
 
-  h.Window({500, 10, 10, 10});
-  h.Window({500, 10, 10, 10});  // Enable node 0.
-  // Improved-but-still-breaching keeps the backoff quiet (500 -> 300) while
-  // hysteresis re-accumulates; the next rung on an enabled node is migrate.
-  h.Window({300, 10, 10, 10});
-  h.Window({300, 10, 10, 10});
+  h.EnableThenMigrateNode0();
 
-  EXPECT_EQ(ap.migrations(), 1u);
+  // Nodes 1-3 hold equal shares: the tie goes to the lowest id, which the
+  // decision log's determinism across reruns and thread counts relies on.
+  EXPECT_EQ(ap.Count(Act::kMigrate), 1u);
   EXPECT_EQ(h.src.migrations_, 1);
-  EXPECT_DOUBLE_EQ(h.src.shares_[0], 1.0);
-  EXPECT_EQ(ap.placer().vms(0), 1 * h.cfg.unit_spec.vms);
   const fleet::Autopilot::Decision& d = ap.decisions().back();
-  EXPECT_EQ(d.act, fleet::Autopilot::Act::kMigrate);
+  EXPECT_EQ(d.act, Act::kMigrate);
   EXPECT_EQ(d.node, 0);
-  ASSERT_GE(d.target, 1);
-  ASSERT_LE(d.target, 3);
-  EXPECT_DOUBLE_EQ(h.src.shares_[static_cast<size_t>(d.target)], 3.0);
-  EXPECT_EQ(ap.placer().vms(static_cast<size_t>(d.target)), 3 * h.cfg.unit_spec.vms);
+  EXPECT_EQ(d.target, 1);
+  EXPECT_EQ(h.src.shares_, (std::vector<double>{1.0, 3.0, 2.0, 2.0}));
+}
+
+TEST(Autopilot, MigrationTargetsTheNodeWithTheLeastShare) {
+  Harness h;
+  h.src.shares_ = {2.0, 3.0, 2.0, 1.0};
+  fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
+  ap.Arm();
+
+  h.EnableThenMigrateNode0();
+
+  EXPECT_EQ(Harness::MigrationTarget(ap), 3);
+  EXPECT_EQ(h.src.shares_, (std::vector<double>{1.0, 3.0, 2.0, 2.0}));
+}
+
+TEST(Autopilot, MigrationNeverTargetsAHotspotOrBreachingNode) {
+  // Node 1 holds the least share, so it is the target unless its report
+  // rules it out. The windows are EnableThenMigrateNode0's, except that
+  // windows 3-4 feed node 1 the given samples and anchor the fleet median
+  // at 10.
+  auto target_when_node1_reports = [](std::initializer_list<double> node1) {
+    Harness h;
+    h.src.shares_ = {2.0, 1.0, 2.0, 2.0};
+    fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
+    ap.Arm();
+    h.Window({500, 10, 10, 10});
+    h.Window({500, 10, 10, 10});
+    for (int w = 0; w < 2; ++w) {
+      h.lat[0].Add(300);
+      h.lat[0].Add(300);
+      for (double v : node1) {
+        h.lat[1].Add(v);
+      }
+      for (int k = 0; k < 6; ++k) {
+        h.lat[2].Add(10);
+        h.lat[3].Add(10);
+      }
+      h.cluster.RunFor(kWindow);
+    }
+    return Harness::MigrationTarget(ap);
+  };
+  // Vacuity guard: a healthy node 1 takes the unit.
+  EXPECT_EQ(target_when_node1_reports({10, 10}), 1);
+  // 60 is under the SLO but above 1.5x the fleet median: a hotspot.
+  EXPECT_EQ(target_when_node1_reports({60, 60}), 2) << "a hotspot must not be the target";
+  // One sample over the SLO: breaching, yet too few samples to be a
+  // hotspot or to count against the fleet's healthy majority.
+  EXPECT_EQ(target_when_node1_reports({150}), 2) << "a breaching node must not be the target";
+}
+
+TEST(Autopilot, MigrationOnlyTargetsANodeWithRoomUnderTheCap) {
+  {
+    // A node at 5 units has room for exactly one more.
+    Harness h;
+    h.src.shares_ = {2.0, 6.0, 5.0, 6.0};
+    fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
+    ap.Arm();
+    h.EnableThenMigrateNode0();
+    EXPECT_EQ(Harness::MigrationTarget(ap), 2);
+    EXPECT_EQ(h.src.shares_, (std::vector<double>{1.0, 6.0, 6.0, 6.0}));
+  }
+  {
+    // Every other node is at the cap: nowhere to move, and the fleet is not
+    // breaching, so nothing is shed either.
+    Harness h;
+    h.src.shares_ = {2.0, 6.0, 6.0, 6.0};
+    fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
+    ap.Arm();
+    h.EnableThenMigrateNode0();
+    EXPECT_EQ(ap.Count(Act::kMigrate), 0u);
+    EXPECT_EQ(ap.Count(Act::kShed), 0u);
+    EXPECT_EQ(h.src.migrations_, 0);
+    EXPECT_EQ(h.src.shares_, (std::vector<double>{2.0, 6.0, 6.0, 6.0}));
+  }
 }
 
 TEST(Autopilot, UniformFleetBreachShedsInsteadOfMigrating) {
   Harness h;
   h.cfg.recover_windows = 1;
-  fleet::Autopilot ap(&h.cluster, &h.src, h.cfg);
+  fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
   ap.Arm();
 
   // Everyone breaches: windows 1-2 enable all four nodes, then the fleet
@@ -148,9 +237,9 @@ TEST(Autopilot, UniformFleetBreachShedsInsteadOfMigrating) {
   for (int w = 0; w < 6; ++w) {
     h.Window({500, 500, 500, 500});
   }
-  EXPECT_EQ(ap.enables(), 4u);
-  EXPECT_EQ(ap.migrations(), 0u);
-  EXPECT_GE(ap.sheds(), 1u);
+  EXPECT_EQ(ap.Count(Act::kEnable), 4u);
+  EXPECT_EQ(ap.Count(Act::kMigrate), 0u);
+  EXPECT_GE(ap.Count(Act::kShed), 1u);
   EXPECT_LE(ap.shed_factor(), 1.0 - h.cfg.shed_step);
   EXPECT_GE(ap.shed_factor(), h.cfg.shed_floor);
 
@@ -158,13 +247,13 @@ TEST(Autopilot, UniformFleetBreachShedsInsteadOfMigrating) {
   for (int w = 0; w < 8; ++w) {
     h.Window({10, 10, 10, 10});
   }
-  EXPECT_EQ(ap.restores(), ap.sheds());
+  EXPECT_EQ(ap.Count(Act::kRestore), ap.Count(Act::kShed));
   EXPECT_DOUBLE_EQ(ap.shed_factor(), 1.0);
 }
 
 TEST(Autopilot, FailedActionsBackOffExponentially) {
   Harness h;
-  fleet::Autopilot ap(&h.cluster, &h.src, h.cfg);
+  fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
   ap.Arm();
 
   // Node 0 never improves, whatever the controller does. Every judged
@@ -172,14 +261,13 @@ TEST(Autopilot, FailedActionsBackOffExponentially) {
   for (int w = 0; w < 12; ++w) {
     h.Window({500, 10, 10, 10});
   }
-  EXPECT_GE(ap.backoffs(), 2u);
+  EXPECT_GE(ap.Count(Act::kBackoff), 2u);
 
   // Actions on node 0 (enable, then migrations) must space out: the gap
   // between consecutive remediations grows with the doubling cooldown.
   std::vector<sim::SimTime> acts;
   for (const fleet::Autopilot::Decision& d : ap.decisions()) {
-    if (d.node == 0 && (d.act == fleet::Autopilot::Act::kEnable ||
-                        d.act == fleet::Autopilot::Act::kMigrate)) {
+    if (d.node == 0 && (d.act == Act::kEnable || d.act == Act::kMigrate)) {
       acts.push_back(d.at);
     }
   }
@@ -191,7 +279,7 @@ TEST(Autopilot, FailedActionsBackOffExponentially) {
 
 TEST(Autopilot, DpBoostEngagesOnUtilizationSpikeAndReverts) {
   Harness h;
-  fleet::Autopilot ap(&h.cluster, &h.src, h.cfg);
+  fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
   ap.Arm();
 
   exp::Testbed& bed = h.cluster.node(0);
@@ -203,24 +291,25 @@ TEST(Autopilot, DpBoostEngagesOnUtilizationSpikeAndReverts) {
                           dp::OpenLoopConfig::Process::kConstant);
   h.cluster.RunFor(sim::Millis(60));
   EXPECT_TRUE(bed.dp_boost());
-  EXPECT_EQ(ap.boosts(), 1u);
-  EXPECT_EQ(ap.reverts(), 0u);
+  EXPECT_EQ(ap.Count(Act::kDpBoost), 1u);
+  EXPECT_EQ(ap.Count(Act::kDpRevert), 0u);
 
   // Load gone: utilization collapses under the off-threshold and the boost
   // reverts after the same hysteresis.
   bed.StopBackgroundLoad();
   h.cluster.RunFor(sim::Millis(60));
   EXPECT_FALSE(bed.dp_boost());
-  EXPECT_EQ(ap.reverts(), 1u);
+  EXPECT_EQ(ap.Count(Act::kDpRevert), 1u);
 }
 
 TEST(Autopilot, CrashEvictsAndRestartReadmitsAndReenables) {
   Harness h;
+  h.src.shares_[1] = 3.0;
   scenario::ChaosConfig ch;
   ch.script.push_back({sim::Millis(25), 1, scenario::ChaosAction::Kind::kCrash, 0, 0, 0});
   ch.script.push_back({sim::Millis(55), 1, scenario::ChaosAction::Kind::kRestart, 0, 0, 0});
   scenario::ChaosEngine chaos(&h.cluster, ch);
-  fleet::Autopilot ap(&h.cluster, &h.src, h.cfg);
+  fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
   chaos.AddListener(&h.src);
   chaos.AddListener(&ap);
   ap.Arm();
@@ -230,30 +319,38 @@ TEST(Autopilot, CrashEvictsAndRestartReadmitsAndReenables) {
   h.Window({10, 500, 10, 10});
   h.Window({10, 500, 10, 10});
   EXPECT_TRUE(h.cluster.node(1).taichi_enabled());
-  const int placed_before = ap.placer().vms(1);
-  EXPECT_GT(placed_before, 0);
 
+  // Evict and readmit log the node's whole units and leave its share alone.
   h.cluster.RunFor(sim::Millis(10));  // The scripted crash fires.
   EXPECT_FALSE(h.cluster.alive(1));
-  EXPECT_EQ(ap.evictions(), 1u);
-  EXPECT_EQ(ap.placer().vms(1), 0) << "crash must release the node's units";
+  ASSERT_EQ(ap.Count(Act::kEvict), 1u);
+  EXPECT_EQ(ap.decisions().back().act, Act::kEvict);
+  EXPECT_EQ(ap.decisions().back().node, 1);
+  EXPECT_DOUBLE_EQ(ap.decisions().back().value, 3.0);
+  EXPECT_EQ(h.src.shares_, (std::vector<double>{2.0, 3.0, 2.0, 2.0}));
 
   h.cluster.RunFor(sim::Millis(40));  // The scripted restart fires.
   EXPECT_TRUE(h.cluster.alive(1));
-  EXPECT_EQ(ap.readmits(), 1u);
-  EXPECT_EQ(ap.placer().vms(1), placed_before) << "restart must readmit the units";
+  ASSERT_EQ(ap.Count(Act::kReadmit), 1u);
+  const fleet::Autopilot::Decision& readmit = ap.decisions()[ap.decisions().size() - 2];
+  EXPECT_EQ(readmit.act, Act::kReadmit);
+  EXPECT_EQ(readmit.node, 1);
+  EXPECT_DOUBLE_EQ(readmit.value, 3.0);
+  EXPECT_EQ(h.src.shares_, (std::vector<double>{2.0, 3.0, 2.0, 2.0}));
   EXPECT_TRUE(h.cluster.node(1).taichi_enabled()) << "restart must re-enable Tai Chi";
+  EXPECT_EQ(ap.decisions().back().act, Act::kEnable);
 
   chaos.Disarm();
 }
 
 TEST(Autopilot, MigrationNeverTargetsADeadNode) {
   Harness h;
+  h.src.shares_[2] = 1.0;  // Alive, node 2 would be the target: the least share.
   scenario::ChaosConfig ch;
   // Node 2 dies before any migration is possible and stays down.
   ch.script.push_back({sim::Millis(5), 2, scenario::ChaosAction::Kind::kCrash, 0, 0, 0});
   scenario::ChaosEngine chaos(&h.cluster, ch);
-  fleet::Autopilot ap(&h.cluster, &h.src, h.cfg);
+  fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
   chaos.AddListener(&h.src);
   chaos.AddListener(&ap);
   ap.Arm();
@@ -263,11 +360,11 @@ TEST(Autopilot, MigrationNeverTargetsADeadNode) {
     h.Window({500, 10, 10, 10});
   }
   for (const fleet::Autopilot::Decision& d : ap.decisions()) {
-    if (d.act == fleet::Autopilot::Act::kMigrate) {
+    if (d.act == Act::kMigrate) {
       EXPECT_NE(d.target, 2) << "the dead node must never be a migration target";
     }
   }
-  EXPECT_GE(ap.migrations(), 1u);
+  EXPECT_GE(ap.Count(Act::kMigrate), 1u);
 
   chaos.Disarm();
 }
@@ -275,7 +372,7 @@ TEST(Autopilot, MigrationNeverTargetsADeadNode) {
 TEST(Autopilot, DecisionLogIsIdenticalAcrossIdenticalRuns) {
   auto run = [] {
     Harness h;
-    fleet::Autopilot ap(&h.cluster, &h.src, h.cfg);
+    fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
     ap.Arm();
     h.Window({500, 10, 10, 10});
     h.Window({500, 10, 10, 10});
@@ -284,19 +381,18 @@ TEST(Autopilot, DecisionLogIsIdenticalAcrossIdenticalRuns) {
     for (int w = 0; w < 3; ++w) {
       h.Window({10, 10, 10, 10});
     }
-    return ap.DecisionLogJson();
+    return ap.decisions();
   };
-  const std::string a = run();
-  const std::string b = run();
+  const std::vector<fleet::Autopilot::Decision> a = run();
+  const std::vector<fleet::Autopilot::Decision> b = run();
   EXPECT_FALSE(a.empty());
-  EXPECT_NE(a, "[]");
   EXPECT_EQ(a, b);
 }
 
 TEST(Autopilot, DisableAfterCalmReclaimsVcpus) {
   Harness h;
   h.cfg.disable_after_calm = 3;
-  fleet::Autopilot ap(&h.cluster, &h.src, h.cfg);
+  fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
   ap.Arm();
 
   h.Window({500, 10, 10, 10});
@@ -307,7 +403,7 @@ TEST(Autopilot, DisableAfterCalmReclaimsVcpus) {
   for (int w = 0; w < 6; ++w) {
     h.Window({10, 10, 10, 10});
   }
-  EXPECT_EQ(ap.disables(), 1u);
+  EXPECT_EQ(ap.Count(Act::kDisable), 1u);
   EXPECT_FALSE(h.cluster.node(0).taichi_enabled());
 }
 

@@ -1,5 +1,6 @@
-// Fleet layer: cluster determinism, the placer's capacity ledger, staged
-// rollout, runtime enable/disable, and fleet metric aggregation.
+// Fleet layer: cluster determinism, the load generator's VM-share
+// migration, SLO windows and hotspots, staged rollout, runtime
+// enable/disable, and fleet metric aggregation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -7,7 +8,6 @@
 
 #include "src/fleet/cluster.h"
 #include "src/fleet/load_gen.h"
-#include "src/fleet/placer.h"
 #include "src/fleet/rollout.h"
 #include "src/fleet/slo_monitor.h"
 
@@ -23,103 +23,6 @@ fleet::ClusterConfig SmallCluster(int nodes, uint64_t seed) {
   cfg.seed = seed;
   cfg.epoch = sim::Millis(2);
   return cfg;
-}
-
-// --- Placer --------------------------------------------------------------
-
-TEST(Placer, RefusesBeyondCapacity) {
-  fleet::NodeCapacity cap;
-  cap.vm_slots = 4;
-  fleet::Placer placer(1, cap);
-
-  fleet::WorkloadSpec spec;
-  spec.tenant = "t";
-  spec.vms = 3;
-  EXPECT_TRUE(placer.PlaceOn(0, spec).admitted);
-
-  fleet::Placement refused = placer.PlaceOn(0, spec);
-  EXPECT_FALSE(refused.admitted);
-  EXPECT_EQ(refused.node, -1);
-  EXPECT_FALSE(refused.reason.empty());
-  EXPECT_EQ(placer.admitted(), 1u);
-  EXPECT_EQ(placer.refused(), 1u);
-  EXPECT_EQ(placer.vms(0), 3);
-}
-
-TEST(Placer, RefusesOnDpAndCpDimensions) {
-  fleet::NodeCapacity cap;
-  cap.dp_util = 1.0;
-  cap.cp_load = 2.0;
-  fleet::Placer placer(1, cap);
-
-  fleet::WorkloadSpec dp_hog;
-  dp_hog.dp_util = 1.5;
-  EXPECT_FALSE(placer.PlaceOn(0, dp_hog).admitted);
-
-  fleet::WorkloadSpec cp_hog;
-  cp_hog.cp_load = 3.0;
-  EXPECT_FALSE(placer.PlaceOn(0, cp_hog).admitted);
-
-  fleet::WorkloadSpec fits;
-  fits.dp_util = 0.9;
-  fits.cp_load = 1.9;
-  EXPECT_TRUE(placer.PlaceOn(0, fits).admitted);
-}
-
-TEST(Placer, ReleaseRestoresCapacity) {
-  fleet::Placer placer(2, fleet::NodeCapacity{});
-  fleet::WorkloadSpec spec;
-  spec.vms = 4;
-  spec.dp_util = 0.5;
-  spec.cp_load = 5.0;
-  fleet::Placement p = placer.PlaceOn(1, spec);
-  ASSERT_TRUE(p.admitted);
-  EXPECT_GT(placer.LoadScore(static_cast<size_t>(p.node)), 0.0);
-  placer.Release(p.node, spec);
-  EXPECT_DOUBLE_EQ(placer.LoadScore(static_cast<size_t>(p.node)), 0.0);
-  EXPECT_EQ(placer.vms(static_cast<size_t>(p.node)), 0);
-}
-
-TEST(Placer, ReleaseBelowZeroDies) {
-  // Releasing a spec that was never admitted (double-release, migration
-  // bookkeeping aimed at the wrong node) corrupts every later admission
-  // decision — it must die loudly, not drift.
-  fleet::Placer placer(2, fleet::NodeCapacity{});
-  fleet::WorkloadSpec spec;
-  spec.tenant = "ghost";
-  spec.vms = 2;
-  EXPECT_DEATH(placer.Release(0, spec), "below zero");
-}
-
-TEST(Placer, ReleaseAfterOneAdmissionDiesOnSecondRelease) {
-  fleet::Placer placer(1, fleet::NodeCapacity{});
-  fleet::WorkloadSpec spec;
-  spec.vms = 3;
-  ASSERT_TRUE(placer.PlaceOn(0, spec).admitted);
-  placer.Release(0, spec);  // Legitimate.
-  EXPECT_DEATH(placer.Release(0, spec), "below zero");
-}
-
-TEST(Placer, PlaceOnTargetsTheNodeOrRefuses) {
-  fleet::NodeCapacity cap;
-  cap.vm_slots = 4;
-  fleet::Placer placer(3, cap);
-  fleet::WorkloadSpec spec;
-  spec.vms = 3;
-
-  fleet::Placement p = placer.PlaceOn(2, spec);
-  ASSERT_TRUE(p.admitted);
-  EXPECT_EQ(p.node, 2);
-  EXPECT_EQ(placer.vms(2), 3);
-  EXPECT_EQ(placer.vms(0), 0);
-
-  // A full target refuses without touching the accounting, even while other
-  // nodes still have room.
-  fleet::Placement refused = placer.PlaceOn(2, spec);
-  EXPECT_FALSE(refused.admitted);
-  EXPECT_EQ(placer.vms(2), 3);
-  EXPECT_TRUE(placer.Fits(0, spec));
-  EXPECT_FALSE(placer.Fits(2, spec));
 }
 
 // --- Aggregation ---------------------------------------------------------
@@ -178,6 +81,36 @@ TEST(LoadGen, DoubleStartDies) {
   fleet::LoadGen load(&cluster, lcfg);
   load.Start();
   EXPECT_DEATH(load.Start(), "Start called twice");
+  load.Stop();
+}
+
+TEST(LoadGen, MigrateVmShareMovesExactlyWhatTheDonorHolds) {
+  fleet::Cluster cluster(SmallCluster(2, 7));
+  fleet::LoadGenConfig lcfg;
+  lcfg.seed = 7;
+  lcfg.spawn_monitors = false;
+  lcfg.node_vm_scale = {1.5, 0.0};
+  fleet::LoadGen load(&cluster, lcfg);
+  load.Start();
+  cluster.RunFor(sim::Millis(100));
+  EXPECT_GT(cluster.node(0).device_manager().started(), 0);
+  EXPECT_EQ(cluster.node(1).device_manager().started(), 0) << "share 0 takes no arrivals";
+
+  // Refused: more than the donor holds, the same node, a node out of range.
+  EXPECT_FALSE(load.MigrateVmShare(0, 1, 2.0));
+  EXPECT_FALSE(load.MigrateVmShare(0, 0, 1.0));
+  EXPECT_FALSE(load.MigrateVmShare(0, 2, 1.0));
+  EXPECT_FALSE(load.MigrateVmShare(2, 0, 1.0));
+  EXPECT_DOUBLE_EQ(load.VmShare(0), 1.5);
+  EXPECT_DOUBLE_EQ(load.VmShare(1), 0.0);
+
+  // Moved: exactly `units`, and the recipient parked at share 0 starts
+  // taking arrivals again.
+  EXPECT_TRUE(load.MigrateVmShare(0, 1, 1.0));
+  EXPECT_DOUBLE_EQ(load.VmShare(0), 0.5);
+  EXPECT_DOUBLE_EQ(load.VmShare(1), 1.0);
+  cluster.RunFor(sim::Millis(100));
+  EXPECT_GT(cluster.node(1).device_manager().started(), 0);
   load.Stop();
 }
 
@@ -397,7 +330,7 @@ TEST_F(SloMonitorTest, HotspotReportNamesHeavyFlowsFromSketches) {
   for (int i = 0; i < 4; ++i) {
     lat_[0].Add(10);
     lat_[1].Add(10);
-    lat_[2].Add(90);  // Hotspot, as in DetectsHotspotsAndPicksCoolestTarget.
+    lat_[2].Add(90);  // Well above 2x the fleet median, below the SLO.
   }
   fleet::SloMonitor::Report r = monitor.Observe();
   ASSERT_EQ(r.hotspots.size(), 1u);
@@ -440,91 +373,6 @@ TEST_F(SloMonitorTest, HeavyHittersZeroDisablesFlowAttribution) {
   ASSERT_EQ(r.hotspots.size(), 1u);
   EXPECT_TRUE(r.nodes[2].heavy.empty());
   EXPECT_TRUE(r.fleet_heavy.empty());
-}
-
-TEST_F(SloMonitorTest, DetectsHotspotsAndPicksCoolestTarget) {
-  cfg_.hotspot_factor = 2.0;
-  fleet::SloMonitor monitor(&cluster_, cfg_);
-  for (int i = 0; i < 4; ++i) {
-    lat_[0].Add(10);
-    lat_[1].Add(10);
-    lat_[2].Add(90);  // Well above 2x the fleet median, below the SLO.
-  }
-  fleet::SloMonitor::Report r = monitor.Observe();
-  ASSERT_EQ(r.hotspots.size(), 1u);
-  EXPECT_EQ(r.hotspots[0], 2);
-  EXPECT_TRUE(r.nodes[2].hotspot);
-
-  fleet::Placer placer(3, fleet::NodeCapacity{});
-  const fleet::WorkloadSpec unit;
-  // Equal load everywhere: the tie goes to the lowest node id, which the
-  // autopilot's determinism across reruns and thread counts relies on.
-  EXPECT_EQ(monitor.CoolestTarget(placer, unit, 2), 0);
-  fleet::WorkloadSpec spec;
-  spec.vms = 4;
-  ASSERT_TRUE(placer.PlaceOn(0, spec).admitted);  // Node 1 is now the coolest.
-  EXPECT_EQ(monitor.CoolestTarget(placer, unit, 2), 1);
-}
-
-TEST_F(SloMonitorTest, CoolestTargetIsDeterministic) {
-  cfg_.hotspot_factor = 2.0;
-  fleet::SloMonitor monitor(&cluster_, cfg_);
-  // Two hotspots against a cool fleet median: each must get the same target
-  // every time it is asked, and never the other hotspot.
-  for (int i = 0; i < 20; ++i) {
-    lat_[0].Add(10);  // The fleet median sits firmly at 10.
-  }
-  for (int i = 0; i < 4; ++i) {
-    lat_[1].Add(50);
-    lat_[2].Add(90);
-  }
-  const fleet::SloMonitor::Report r = monitor.Observe();
-  ASSERT_EQ(r.hotspots.size(), 2u);  // Vacuity guard: both nodes are hotspots.
-  fleet::Placer placer(3, fleet::NodeCapacity{});
-  const fleet::WorkloadSpec unit;
-  for (int hot : r.hotspots) {
-    const int a = monitor.CoolestTarget(placer, unit, hot);
-    EXPECT_EQ(a, monitor.CoolestTarget(placer, unit, hot));
-    EXPECT_EQ(a, 0) << "node 0 is the only non-hotspot target";
-  }
-}
-
-TEST_F(SloMonitorTest, CoolestTargetNeverPicksAnUnfittableNode) {
-  cfg_.hotspot_factor = 2.0;
-  fleet::SloMonitor monitor(&cluster_, cfg_);
-  for (int i = 0; i < 4; ++i) {
-    lat_[0].Add(10);
-    lat_[1].Add(10);
-    lat_[2].Add(90);
-  }
-  monitor.Observe();
-  // No node can hold the unit: there is no target — a move the placer
-  // would refuse is worse than none.
-  fleet::NodeCapacity tiny;
-  tiny.vm_slots = 1;
-  fleet::Placer placer(3, tiny);
-  fleet::WorkloadSpec unit;
-  unit.vms = 4;
-  EXPECT_EQ(monitor.CoolestTarget(placer, unit, 2), -1);
-}
-
-TEST_F(SloMonitorTest, CoolestTargetSkipsDeadNodes) {
-  cfg_.hotspot_factor = 2.0;
-  fleet::SloMonitor monitor(&cluster_, cfg_);
-  for (int i = 0; i < 4; ++i) {
-    lat_[0].Add(10);
-    lat_[1].Add(10);
-    lat_[2].Add(90);
-  }
-  monitor.Observe();
-  fleet::Placer placer(3, fleet::NodeCapacity{});
-  fleet::WorkloadSpec spec;
-  spec.vms = 4;
-  // Node 0 carries load; node 1 would be the coolest.
-  ASSERT_TRUE(placer.PlaceOn(0, spec).admitted);
-  cluster_.CrashNode(1);
-  EXPECT_EQ(monitor.CoolestTarget(placer, fleet::WorkloadSpec{}, 2), 0)
-      << "the dead node must not be a target";
 }
 
 TEST(SloMonitor, RestartedNodeWindowHasEveryNewSample) {

@@ -303,11 +303,11 @@ TEST(ClusterChaos, ScriptedChaosFiresAtEpochBoundaries) {
   chaos.Arm();
 
   cluster.RunFor(sim::Millis(20));
-  EXPECT_EQ(chaos.crashes(), 1);
+  EXPECT_EQ(chaos.Count(scenario::ChaosAction::Kind::kCrash), 1);
   EXPECT_FALSE(cluster.alive(2));
 
   cluster.RunFor(sim::Millis(20));
-  EXPECT_EQ(chaos.restarts(), 1);
+  EXPECT_EQ(chaos.Count(scenario::ChaosAction::Kind::kRestart), 1);
   EXPECT_TRUE(cluster.alive(2));
   EXPECT_EQ(cluster.alive_count(), 3u);
 
@@ -395,7 +395,7 @@ TEST(ScenarioDeterminism, CrashChurnVerdictIsByteIdenticalAcrossThreads) {
 }
 
 TEST(ScenarioDeterminism, AutopilotVerdictIsByteIdenticalAcrossThreads) {
-  // The autopilot's decision loop mutates cross-node state (placer books,
+  // The autopilot's decision loop mutates cross-node state (VM shares,
   // Tai Chi enables, migrations) from its epoch hook; every decision — and
   // therefore the verdict JSON embedding the decision log — must come out
   // byte-identical whether nodes step serially or on 4 threads.
