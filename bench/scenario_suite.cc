@@ -1,10 +1,8 @@
-// Scenario suite: named end-to-end experiments (trace replay, adversarial
-// traffic, chaos injection) with deterministic pass/fail verdicts.
+// Scenario suite: named end-to-end experiments (adversarial traffic, chaos
+// injection) with deterministic pass/fail verdicts.
 //
 //   scenario_suite --list
 //   scenario_suite --scenario ddos --json out.json
-//   scenario_suite --scenario baseline --record-trace run.tcpt
-//   scenario_suite --scenario baseline --replay run.tcpt
 //
 // Every verdict is a pure function of (scenario, nodes, seed, duration):
 // the JSON carries no thread count and no wall clock, so CI compares the
@@ -12,14 +10,11 @@
 // process exits nonzero when any requested scenario fails its expectations
 // — the suite is a gate, not just a report.
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/scenario/library.h"
-#include "src/scenario/trace_format.h"
 
 using namespace taichi;
 
@@ -71,8 +66,6 @@ void PrintVerdict(const scenario::ScenarioVerdict& v) {
 int main(int argc, char** argv) {
   std::vector<std::string> requested;
   std::string json_path;
-  std::string record_path;
-  std::string replay_path;
   bool verbose = false;
   scenario::ScenarioOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -101,10 +94,6 @@ int main(int argc, char** argv) {
       requested.push_back(argv[++i]);
     } else if (arg == "--json") {
       json_path = argv[++i];
-    } else if (arg == "--record-trace") {
-      record_path = argv[++i];
-    } else if (arg == "--replay") {
-      replay_path = argv[++i];
     } else if (arg == "--nodes") {
       opts.nodes = std::atoi(argv[++i]);
     } else if (arg == "--density") {
@@ -123,13 +112,8 @@ int main(int argc, char** argv) {
   if (requested.empty()) {
     requested = scenario::ScenarioNames();
   }
-  if ((!record_path.empty() || !replay_path.empty()) && requested.size() != 1) {
-    std::fprintf(stderr, "--record-trace/--replay need exactly one --scenario\n");
-    return 2;
-  }
 
-  bench::PrintHeader("Scenario suite",
-                     "trace replay, adversarial traffic and chaos injection");
+  bench::PrintHeader("Scenario suite", "adversarial traffic and chaos injection");
 
   std::vector<scenario::ScenarioVerdict> verdicts;
   for (const std::string& name : requested) {
@@ -139,39 +123,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    scenario::PacketTraceReplayer* replayer = nullptr;
-    if (!replay_path.empty()) {
-      scenario::PacketTrace trace;
-      if (!scenario::PacketTrace::ReadFile(replay_path, &trace)) {
-        std::fprintf(stderr, "cannot read trace '%s'\n", replay_path.c_str());
-        return 2;
-      }
-      std::printf("replaying %zu records for %u nodes from %s\n",
-                  trace.records.size(), trace.node_count, replay_path.c_str());
-      // The replayed stream carries only DP packets (no CP workflow
-      // arrivals), so SLO-sample expectations do not apply; the scenario's
-      // cluster shape and SLO policy are kept, its traffic and chaos are not.
-      spec.use_chaos = false;
-      spec.expect = scenario::ScenarioExpectations{};
-      spec.expect.min_fleet_samples = 0;
-      // Raw new: std::function targets must be copyable, and the runner's
-      // constructor invokes make_source exactly once, taking ownership.
-      auto* raw = new scenario::PacketTraceReplayer(std::move(trace));
-      replayer = raw;
-      spec.make_source = [raw](fleet::Cluster&) -> std::unique_ptr<scenario::TrafficSource> {
-        return std::unique_ptr<scenario::TrafficSource>(raw);
-      };
-    }
-
     scenario::ScenarioRunner runner(std::move(spec));
-
-    std::unique_ptr<scenario::PacketTraceRecorder> recorder;
-    if (!record_path.empty()) {
-      recorder = std::make_unique<scenario::PacketTraceRecorder>(&runner.cluster());
-      recorder->Attach();
-      runner.AddListener(recorder.get());
-    }
-
     scenario::ScenarioVerdict v = runner.Run();
     PrintVerdict(v);
     if (verbose) {
@@ -191,20 +143,6 @@ int main(int argc, char** argv) {
           }
         }
       }
-    }
-    if (replayer != nullptr) {
-      std::printf("  replay: %llu injected, %llu dropped late\n",
-                  static_cast<unsigned long long>(replayer->injected()),
-                  static_cast<unsigned long long>(replayer->dropped_late()));
-    }
-    if (recorder != nullptr) {
-      const scenario::PacketTrace trace = recorder->Finish();
-      if (!trace.WriteFile(record_path)) {
-        std::fprintf(stderr, "cannot write trace '%s'\n", record_path.c_str());
-        return 2;
-      }
-      std::printf("  recorded %zu packet records -> %s\n", trace.records.size(),
-                  record_path.c_str());
     }
     verdicts.push_back(std::move(v));
   }

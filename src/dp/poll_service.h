@@ -38,10 +38,11 @@ struct PollServiceConfig {
   // Type-1 virtualization tax (Tai Chi-vDP): multiplies all DP work.
   double virt_work_tax = 0.0;
 
-  // Cache/TLB pollution model (§6.5): after the CPU was taken away for at
-  // least `pollution_gap_threshold`, the next `pollution_decay` worth of
-  // work costs up to `pollution_max_factor` extra, decaying linearly.
-  sim::Duration pollution_gap_threshold = sim::Micros(5);
+  // Cache/TLB pollution model (§6.5): any displacement re-arms the
+  // surcharge, however short — a re-dispatch of the service task, or any
+  // rise in its CPU's `guest_lent` (a vCPU borrowed the CPU). The next
+  // `pollution_decay` of work then costs a flat `pollution_max_factor`
+  // extra: the budget runs down as work is charged, the factor does not.
   double pollution_max_factor = 0.35;
   sim::Duration pollution_decay = sim::Micros(40);
 

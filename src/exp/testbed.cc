@@ -430,10 +430,6 @@ void Testbed::StallAccelerator(sim::Duration duration) {
   machine_->accelerator().Stall(duration);
 }
 
-void Testbed::SetIngressTap(hw::Accelerator::IngressTap tap) {
-  machine_->accelerator().set_ingress_tap(std::move(tap));
-}
-
 std::vector<os::Task*> Testbed::SpawnCpFlood(int count, uint64_t iterations, uint64_t salt) {
   std::vector<os::Task*> tasks;
   tasks.reserve(static_cast<size_t>(std::max(0, count)));
@@ -495,15 +491,7 @@ void Testbed::EnableTaiChi() {
     return;
   }
   InstallTaiChi();
-  for (size_t i = 0; i < services_.size(); ++i) {
-    WireServiceProbe(i);
-  }
-  cp_task_cpus_ = taichi_->cp_task_cpus();
-  for (os::Task* task : monitor_tasks_) {
-    if (task->state() != os::TaskState::kExited) {
-      kernel_->SetTaskAffinity(task, cp_task_cpus_);
-    }
-  }
+  ResumeDonation();
   if (obs_ != nullptr) {
     taichi_->AttachObservability(obs_);
   }
@@ -517,37 +505,14 @@ void Testbed::SetDpBoost(bool on) {
     TAICHI_ERROR(sim_.Now(), "testbed: SetDpBoost needs an active Tai Chi");
     return;
   }
+  // §8 inverse repartitioning, runtime edition: on, the DP CPUs run
+  // undisturbed busy-poll at full throughput and the vCPU pool idles out on
+  // its own (no backed vCPU without runnable work). The framework stays
+  // installed so reverting is cheap.
   if (on) {
-    // §8 inverse repartitioning, runtime edition: pause donations so the DP
-    // CPUs run undisturbed busy-poll at full throughput. CP tasks fall back
-    // to the static CP partition; the vCPU pool idles out on its own (no
-    // backed vCPU without runnable work). The framework stays installed so
-    // reverting is cheap.
-    for (auto& service : services_) {
-      service->DetachTaiChiProbe(dp::YieldPolicy::kBusyPoll);
-    }
-    cp_task_cpus_ = cp_set_;
-    const os::CpuSet vcpus = taichi_->vcpu_set();
-    for (const auto& task : kernel_->tasks()) {
-      if (task->state() == os::TaskState::kExited) {
-        continue;
-      }
-      if (!(task->affinity() & vcpus).empty()) {
-        kernel_->SetTaskAffinity(task.get(), cp_set_);
-      }
-    }
+    PauseDonation();
   } else {
-    // Resume donations: re-attach the probes and widen the CP affinity back
-    // onto the vCPU pool.
-    for (size_t i = 0; i < services_.size(); ++i) {
-      WireServiceProbe(i);
-    }
-    cp_task_cpus_ = taichi_->cp_task_cpus();
-    for (os::Task* task : monitor_tasks_) {
-      if (task->state() != os::TaskState::kExited) {
-        kernel_->SetTaskAffinity(task, cp_task_cpus_);
-      }
-    }
+    ResumeDonation();
   }
   dp_boost_ = on;
 }
@@ -560,10 +525,15 @@ void Testbed::DisableTaiChi() {
   // A disable supersedes any boost; from here the probes are detached and
   // cp_task_cpus_ narrowed regardless (re-detaching is a no-op).
   dp_boost_ = false;
-  // Stop new donations, then pull every task off the vCPUs. Queued tasks
-  // migrate immediately; tasks frozen inside a preempted vCPU migrate at
-  // their next preemptible boundary, which requires the vCPU to keep getting
-  // backed until then — hence the drain below runs with the scheduler alive.
+  // A task frozen inside a preempted vCPU leaves it only at its next
+  // preemptible boundary, which requires the vCPU to keep getting backed
+  // until then — hence the drain below runs with the scheduler alive.
+  PauseDonation();
+  draining_ = true;
+  ScheduleDrainCheck();
+}
+
+void Testbed::PauseDonation() {
   for (auto& service : services_) {
     service->DetachTaiChiProbe(dp::YieldPolicy::kBusyPoll);
   }
@@ -577,8 +547,18 @@ void Testbed::DisableTaiChi() {
       kernel_->SetTaskAffinity(task.get(), cp_set_);
     }
   }
-  draining_ = true;
-  ScheduleDrainCheck();
+}
+
+void Testbed::ResumeDonation() {
+  for (size_t i = 0; i < services_.size(); ++i) {
+    WireServiceProbe(i);
+  }
+  cp_task_cpus_ = taichi_->cp_task_cpus();
+  for (os::Task* task : monitor_tasks_) {
+    if (task->state() != os::TaskState::kExited) {
+      kernel_->SetTaskAffinity(task, cp_task_cpus_);
+    }
+  }
 }
 
 bool Testbed::TaiChiQuiesced() const {

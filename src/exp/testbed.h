@@ -207,9 +207,6 @@ class Testbed {
   // Freezes the accelerator preprocessing pipeline: firmware hiccup / PCIe
   // backpressure. Arrivals queue behind the stall exactly as behind a burst.
   void StallAccelerator(sim::Duration duration);
-  // Raw per-packet tap at accelerator ingress (the scenario trace recorder).
-  // Null clears; costs one predictable branch per packet when unset.
-  void SetIngressTap(hw::Accelerator::IngressTap tap);
   // Noisy neighbor: `count` aggressive CP tasks (Fig. 5 routine mixture,
   // contending the shared driver lock) affined to cp_task_cpus(); each runs
   // `iterations` profile iterations and exits (0 = forever).
@@ -258,6 +255,14 @@ class Testbed {
   void BuildServices();
   void InstallTaiChi();
   void WireServiceProbe(size_t service_index);
+  // Stops idle-cycle donation: detaches every service's probe (busy-poll),
+  // narrows cp_task_cpus_ to the static CP partition and moves every live
+  // task off the vCPUs (queued tasks at once, running ones at their next
+  // preemptible boundary).
+  void PauseDonation();
+  // Starts it again: re-attaches the probes, widens cp_task_cpus_ onto the
+  // vCPU pool and re-affines the background CP fleet.
+  void ResumeDonation();
   bool TaiChiQuiesced() const;
   void ScheduleDrainCheck();
   void FinishDisableTaiChi();

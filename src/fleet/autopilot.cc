@@ -23,8 +23,6 @@ const char* ToString(Autopilot::Act act) {
   switch (act) {
     case Autopilot::Act::kEnable:
       return "enable";
-    case Autopilot::Act::kDisable:
-      return "disable";
     case Autopilot::Act::kMigrate:
       return "migrate";
     case Autopilot::Act::kDpBoost:
@@ -60,7 +58,6 @@ void Autopilot::Arm() {
   }
   const size_t n = cluster_->size();
   breach_streak_.assign(n, 0);
-  calm_streak_.assign(n, 0);
   fail_streak_.assign(n, 0);
   cooldown_until_.assign(n, 0);
   boost_hi_streak_.assign(n, 0);
@@ -119,21 +116,10 @@ void Autopilot::OnWindow(sim::SimTime now) {
   }
 
   for (size_t i = 0; i < n && i < report.nodes.size(); ++i) {
-    if (!cluster_->alive(i)) {
-      breach_streak_[i] = 0;
-      calm_streak_[i] = 0;
-      continue;
-    }
     const SloMonitor::NodeStat& s = report.nodes[i];
-    if (s.samples >= config_.slo.min_samples && s.breach) {
-      ++breach_streak_[i];
-      calm_streak_[i] = 0;
-    } else {
-      breach_streak_[i] = 0;
-      if (s.samples >= config_.slo.min_samples) {
-        ++calm_streak_[i];
-      }
-    }
+    const bool breach =
+        cluster_->alive(i) && s.samples >= config_.slo.min_samples && s.breach;
+    breach_streak_[i] = breach ? breach_streak_[i] + 1 : 0;
   }
   if (!report.fleet_breach && report.hotspots.empty()) {
     ++healthy_streak_;
@@ -145,7 +131,7 @@ void Autopilot::OnWindow(sim::SimTime now) {
   UpdateDpBoost(util, now);
   const int actions = Remediate(report, now);
   if (actions == 0) {
-    Recover(report, now);
+    Recover(now);
   }
 }
 
@@ -326,38 +312,16 @@ int Autopilot::MigrationTarget(const SloMonitor::Report& report, size_t from) co
   return target;
 }
 
-// The unwind path, one step per qualifying window: restore shed background
-// load first; only once nothing is shed, optionally disable Tai Chi on
-// long-calm nodes to reclaim their vCPU overhead.
-void Autopilot::Recover(const SloMonitor::Report& report, sim::SimTime now) {
-  if (healthy_streak_ < config_.recover_windows) {
+// The unwind path: once the fleet has been healthy for recover_windows,
+// restore one step of shed background load per qualifying window.
+void Autopilot::Recover(sim::SimTime now) {
+  if (healthy_streak_ < config_.recover_windows || shed_factor_ >= 1.0 - 1e-9) {
     return;
   }
-  if (shed_factor_ < 1.0 - 1e-9) {
-    shed_factor_ = std::min(1.0, shed_factor_ + config_.shed_step);
-    ApplyShed();
-    Log(now, Act::kRestore, -1, -1, shed_factor_);
-    healthy_streak_ = 0;
-    return;
-  }
-  if (config_.disable_after_calm <= 0) {
-    return;
-  }
-  for (size_t i = 0; i < cluster_->size(); ++i) {
-    if (!cluster_->alive(i) || calm_streak_[i] < config_.disable_after_calm) {
-      continue;
-    }
-    exp::Testbed& bed = cluster_->node(i);
-    if (!bed.taichi_enabled() || bed.taichi_draining()) {
-      continue;
-    }
-    const double value = i < report.nodes.size() ? report.nodes[i].value : 0.0;
-    bed.DisableTaiChi();
-    Log(now, Act::kDisable, static_cast<int>(i), -1, value);
-    calm_streak_[i] = 0;
-    healthy_streak_ = 0;
-    return;  // One disable per window: watch the SLO before the next.
-  }
+  shed_factor_ = std::min(1.0, shed_factor_ + config_.shed_step);
+  ApplyShed();
+  Log(now, Act::kRestore, -1, -1, shed_factor_);
+  healthy_streak_ = 0;
 }
 
 void Autopilot::ApplyShed() {
@@ -408,7 +372,6 @@ void Autopilot::OnNodeCrash(Cluster& cluster, size_t node) {
   // baseline on restart.
   was_enabled_[node] = cluster.node(node).taichi_enabled();
   breach_streak_[node] = 0;
-  calm_streak_[node] = 0;
   fail_streak_[node] = 0;
   boost_hi_streak_[node] = 0;
   boost_lo_streak_[node] = 0;

@@ -6,10 +6,9 @@
 // node:
 //
 //   1. Enable Tai Chi — a breaching baseline node gets the framework turned
-//      on (donated DP idle absorbs the CP backlog). Under calm, the reverse
-//      (optional `disable_after_calm`) reclaims the vCPU overhead again, so
-//      steady state runs Tai Chi only where the load demands it — the
-//      "fewer CPUs than static placement" end state.
+//      on (donated DP idle absorbs the CP backlog). Nodes that never breach
+//      stay baseline, so the fleet runs Tai Chi only where the load demands
+//      it — the "fewer CPUs than static placement" end state.
 //   2. Live migration — a breaching node that already runs Tai Chi sheds one
 //      unit of VM-arrival share through TrafficSource::MigrateVmShare to the
 //      node with the least share that is alive, neither a hotspot nor
@@ -76,10 +75,6 @@ struct AutopilotConfig {
   double shed_step = 0.25;   // Background-load fraction removed per shed.
   double shed_floor = 0.25;  // Never scale background below this factor.
   int recover_windows = 2;   // Healthy persistence before restoring a step.
-
-  // Calm windows (no breach, enough samples) before a Tai Chi-enabled node
-  // is disabled again to reclaim its vCPU overhead. 0 = never disable.
-  int disable_after_calm = 0;
 };
 
 class Autopilot : public scenario::NodeLifecycleListener {
@@ -87,7 +82,6 @@ class Autopilot : public scenario::NodeLifecycleListener {
   // What the controller did and why — the verdict JSON embeds this log.
   enum class Act : uint8_t {
     kEnable,    // EnableTaiChi on a breaching baseline node.
-    kDisable,   // DisableTaiChi on a long-calm node (reclaim vCPUs).
     kMigrate,   // One unit of VM share moved node -> target.
     kDpBoost,   // SetDpBoost(true): DP spike, donations paused.
     kDpRevert,  // SetDpBoost(false): spike subsided.
@@ -152,7 +146,7 @@ class Autopilot : public scenario::NodeLifecycleListener {
   void UpdateDpBoost(const std::vector<double>& util, sim::SimTime now);
   int Remediate(const SloMonitor::Report& report, sim::SimTime now);
   int MigrationTarget(const SloMonitor::Report& report, size_t from) const;
-  void Recover(const SloMonitor::Report& report, sim::SimTime now);
+  void Recover(sim::SimTime now);
   void ApplyShed();
   void NoteAction(size_t node, const SloMonitor::Report& report);
   void Log(sim::SimTime at, Act act, int node, int target, double value);
@@ -173,7 +167,6 @@ class Autopilot : public scenario::NodeLifecycleListener {
 
   // Per-node controller state.
   std::vector<int> breach_streak_;
-  std::vector<int> calm_streak_;
   std::vector<int> fail_streak_;        // Consecutive non-improving actions.
   std::vector<size_t> cooldown_until_;  // Window index per node.
   std::vector<int> boost_hi_streak_;

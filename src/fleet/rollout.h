@@ -63,9 +63,6 @@ class Rollout : public scenario::NodeLifecycleListener {
   void OnNodeRestart(Cluster& cluster, size_t node) override;
 
   State state() const { return state_; }
-  size_t wave() const { return wave_; }
-  size_t enabled_nodes() const { return enabled_; }
-  const std::vector<int>& waves() const { return config_.waves; }
   const std::vector<Event>& history() const { return history_; }
   // The SLO gate decisions, one per wave soak that reached a verdict.
   const std::vector<SloMonitor::Report>& gate_reports() const { return gate_reports_; }

@@ -66,9 +66,6 @@ void Accelerator::IngressHandle(uint32_t queue, sim::PacketHandle h) {
   Queue& q = queues_[queue];
   const IoPacket& pkt = pool_->Get(h);
   ingressed_.Inc();
-  if (ingress_tap_) {
-    ingress_tap_(queue, pkt);
-  }
   if (flow_monitor_ != nullptr) {
     flow_monitor_->OnPacket(pkt.flow_key, pkt.size_bytes);
   }

@@ -16,7 +16,6 @@
 #include "src/obs/flow_monitor.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/sim/inline_callback.h"
 #include "src/sim/packet_pool.h"
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
@@ -61,13 +60,6 @@ class Accelerator {
   // as opposed to the poll services' "work performed" view. The monitor must
   // outlive the accelerator.
   void set_flow_monitor(obs::FlowMonitor* monitor) { flow_monitor_ = monitor; }
-
-  // Raw ingress tap, fired for every packet at Ingress() call time before
-  // any pipeline effect. The scenario trace recorder uses it to capture a
-  // replayable per-node arrival stream; unset (the default) costs one
-  // predictable branch per packet. The tap must not inject new traffic.
-  using IngressTap = sim::InlineFunction<void(uint32_t queue, const IoPacket& pkt)>;
-  void set_ingress_tap(IngressTap tap) { ingress_tap_ = std::move(tap); }
 
   // Fault injection: freezes the preprocessing pipeline for `duration` —
   // every queue's next admission slot is pushed past now + duration, so
@@ -128,7 +120,6 @@ class Accelerator {
   HwWorkloadProbe* probe_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
   obs::FlowMonitor* flow_monitor_ = nullptr;
-  IngressTap ingress_tap_;
   sim::Counter ingressed_;
   sim::Counter published_;
   sim::Counter pool_drops_;

@@ -38,7 +38,6 @@ namespace taichi::os {
 struct GuestCosts {
   sim::Duration entry_cost = sim::MicrosF(1.5);  // pCPU -> vCPU (VM-entry path).
   sim::Duration exit_cost = sim::MicrosF(2.0);   // vCPU -> pCPU (VM-exit + restore).
-  sim::Duration ipi_reissue_cost = sim::Nanos(300);
 };
 
 struct KernelConfig {

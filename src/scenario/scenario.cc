@@ -55,7 +55,6 @@ std::string ScenarioVerdict::ToJson() const {
     w.Field("recovery_windows", static_cast<uint64_t>(a.recovery_windows));
     w.Field("max_breach_streak", static_cast<uint64_t>(a.max_breach_streak));
     w.Field("enables", a.enables);
-    w.Field("disables", a.disables);
     w.Field("migrations", a.migrations);
     w.Field("dp_boosts", a.dp_boosts);
     w.Field("dp_reverts", a.dp_reverts);
@@ -109,12 +108,6 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec) : spec_(std::move(spec)) {
       // the autopilot re-enables Tai Chi on it.
       chaos_->AddListener(autopilot_.get());
     }
-  }
-}
-
-void ScenarioRunner::AddListener(NodeLifecycleListener* listener) {
-  if (chaos_ != nullptr) {
-    chaos_->AddListener(listener);
   }
 }
 
@@ -250,7 +243,6 @@ ScenarioVerdict ScenarioRunner::Run() {
         (post_fault > 0 && last_unhealthy == post_fault) ? v.windows + 1 : last_unhealthy;
     using Act = fleet::Autopilot::Act;
     a.enables = autopilot_->Count(Act::kEnable);
-    a.disables = autopilot_->Count(Act::kDisable);
     a.migrations = autopilot_->Count(Act::kMigrate);
     a.dp_boosts = autopilot_->Count(Act::kDpBoost);
     a.dp_reverts = autopilot_->Count(Act::kDpRevert);

@@ -146,7 +146,6 @@ struct ScenarioVerdict {
     size_t recovery_windows = 0;  // Post-fault windows to first healthy one.
     size_t max_breach_streak = 0;
     uint64_t enables = 0;
-    uint64_t disables = 0;
     uint64_t migrations = 0;
     uint64_t dp_boosts = 0;
     uint64_t dp_reverts = 0;
@@ -188,10 +187,6 @@ class ScenarioRunner {
   const std::vector<fleet::SloMonitor::Report>& window_reports() const {
     return window_reports_;
   }
-
-  // Observers notified around every chaos crash/restart (e.g. the packet
-  // trace recorder). Register before Run().
-  void AddListener(NodeLifecycleListener* listener);
 
  private:
   ScenarioSpec spec_;

@@ -3,9 +3,8 @@
 // A TrafficSource owns everything that injects offered load into a
 // fleet::Cluster — DP packet streams, CP workflow arrivals, or both — behind
 // a uniform start/stop surface, so the scenario runner, the benches and the
-// trace recorder can swap "the canonical Fig. 3 mix", "that mix under a
-// diurnal curve", "a replayed production capture" or "a DDoS flood" without
-// knowing how the packets are made.
+// fleet autopilot can swap "the canonical Fig. 3 mix", "that mix under a
+// diurnal curve" or "a DDoS flood" without knowing how the packets are made.
 //
 // Lifecycle notifications: the chaos layer calls OnNodeCrash *before* it
 // destroys a node's Testbed (the node's simulation is still valid, so a
@@ -28,8 +27,8 @@ class Cluster;
 namespace taichi::scenario {
 
 // Implemented by anything that must track node lifecycle (traffic sources,
-// the packet-trace recorder). Kept separate so non-source observers can
-// subscribe to the chaos engine too.
+// the autopilot, the staged rollout). Kept separate so non-source observers
+// can subscribe to the chaos engine too.
 class NodeLifecycleListener {
  public:
   virtual ~NodeLifecycleListener() = default;
@@ -60,20 +59,13 @@ class TrafficSource : public NodeLifecycleListener {
 
   // --- Live migration (the fleet autopilot drives these) ---
   // Current VM-arrival share of `node`, in source share units (1.0 = the
-  // configured base per-node rate). Sources that cannot migrate report 1.0.
-  virtual double VmShare(size_t node) const {
-    (void)node;
-    return 1.0;
-  }
+  // configured base per-node rate).
+  virtual double VmShare(size_t node) const = 0;
   // Moves `units` of VM-arrival share from node `from` to node `to`,
-  // effective at the next scheduled arrival. Returns false when the source
-  // does not support migration or `from` holds less than `units` of share.
-  virtual bool MigrateVmShare(size_t from, size_t to, double units) {
-    (void)from;
-    (void)to;
-    (void)units;
-    return false;
-  }
+  // effective at the next scheduled arrival. Returns false, moving nothing,
+  // when `from` holds less than `units` of share or the move is not between
+  // two distinct known nodes.
+  virtual bool MigrateVmShare(size_t from, size_t to, double units) = 0;
 };
 
 }  // namespace taichi::scenario

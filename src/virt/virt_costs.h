@@ -18,8 +18,6 @@ struct Type1Costs {
   // Multiplier on DP packet-processing work (~NPT walks + exit amortization;
   // §6.3 reports 6-8% data-plane degradation).
   double dp_work_tax = 0.07;
-  // Residual scheduling latency when a vCPU-hosted DP service resumes.
-  sim::Duration resume_latency = sim::MicrosF(2.0);
 };
 
 // Type-2 (QEMU + KVM): the control plane lives in a separate guest OS.
@@ -32,8 +30,6 @@ struct Type2Costs {
   // Native IPC between DP and CP breaks; every interaction becomes an RPC
   // through virtio/vsock emulation.
   sim::Duration ipc_to_rpc_penalty = sim::Micros(25);
-  // Guest-side syscall/housekeeping slowdown for CP work.
-  double cp_work_tax = 0.05;
 };
 
 }  // namespace taichi::virt

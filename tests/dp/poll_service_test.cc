@@ -232,5 +232,36 @@ TEST_F(PollServiceTest, PollutionSurchargeDecaysExactlyToZero) {
   EXPECT_EQ(svc->work_time(), 225);
 }
 
+TEST_F(PollServiceTest, AnyVcpuDisplacementReArmsThePollutionSurcharge) {
+  // No re-dispatch happens here: a vCPU borrows the service's CPU for a
+  // 2 us guest episode and hands it back, so the only sign of the
+  // displacement is the CPU's guest_lent. However short the episode, the
+  // next packet pays the full surcharge: base 100 ns plus 100 ns (factor 1.0
+  // over a 100 ns budget).
+  PollServiceConfig cfg;
+  cfg.per_packet_base_cost = sim::Nanos(100);
+  cfg.ns_per_byte = 0.0;
+  cfg.pollution_max_factor = 1.0;
+  cfg.pollution_decay = sim::Nanos(100);
+  const os::CpuId vcpu = kernel_->RegisterCpu(os::CpuKind::kVirtual, 100);
+  kernel_->OnlineCpu(vcpu);
+  PollService* svc = MakeService(YieldPolicy::kBusyPoll, cfg);
+  sim_.RunFor(sim::Millis(1));  // vCPU online, service busy-polling.
+  Push(1);
+  sim_.RunFor(sim::Micros(5));
+  EXPECT_EQ(svc->work_time(), 100);  // Warm working set: base cost only.
+
+  kernel_->EnterGuest(0, vcpu);
+  sim_.RunFor(kernel_->config().guest.entry_cost + sim::Micros(2));
+  kernel_->ExitGuest(0, os::GuestExitReason::kForced);
+  sim_.RunFor(sim::Micros(5));
+  ASSERT_EQ(kernel_->GetAccounting(0).guest_lent, sim::Micros(2));
+
+  Push(2);
+  sim_.RunFor(sim::Micros(5));
+  ASSERT_EQ(delivered_.size(), 2u);
+  EXPECT_EQ(svc->work_time(), 100 + 200);
+}
+
 }  // namespace
 }  // namespace taichi::dp

@@ -389,23 +389,5 @@ TEST(Autopilot, DecisionLogIsIdenticalAcrossIdenticalRuns) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Autopilot, DisableAfterCalmReclaimsVcpus) {
-  Harness h;
-  h.cfg.disable_after_calm = 3;
-  fleet::Autopilot ap(&h.cluster, h.src, h.cfg);
-  ap.Arm();
-
-  h.Window({500, 10, 10, 10});
-  h.Window({500, 10, 10, 10});
-  EXPECT_TRUE(h.cluster.node(0).taichi_enabled());
-
-  // Calm long enough: the controller hands the vCPU budget back.
-  for (int w = 0; w < 6; ++w) {
-    h.Window({10, 10, 10, 10});
-  }
-  EXPECT_EQ(ap.Count(Act::kDisable), 1u);
-  EXPECT_FALSE(h.cluster.node(0).taichi_enabled());
-}
-
 }  // namespace
 }  // namespace taichi

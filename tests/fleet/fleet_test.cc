@@ -695,7 +695,6 @@ TEST_F(RolloutTest, ConvergesWhenSloHolds) {
   load.Stop();
 
   EXPECT_EQ(rollout.state(), fleet::Rollout::State::kDone);
-  EXPECT_EQ(rollout.enabled_nodes(), 2u);
   EXPECT_EQ(rollout.gate_reports().size(), 2u);
   EXPECT_TRUE(cluster.node(0).taichi_enabled());
   EXPECT_TRUE(cluster.node(1).taichi_enabled());
@@ -715,7 +714,6 @@ TEST_F(RolloutTest, RollsBackOnInjectedSloBreach) {
   load.Stop();
 
   EXPECT_EQ(rollout.state(), fleet::Rollout::State::kRolledBack);
-  EXPECT_EQ(rollout.enabled_nodes(), 0u);
   ASSERT_EQ(rollout.gate_reports().size(), 1u);
   EXPECT_TRUE(rollout.gate_reports()[0].fleet_breach);
   // The canary drained back to the baseline; node 1 was never touched.

@@ -305,6 +305,8 @@ TEST(TestbedTest, DelayedVmReplyWaitsInTheArena) {
   // A VM sink hands its reply back `d` after the call. The reply takes its
   // arena slot at the call and holds it through the hand-over; it reaches
   // the accelerator at call + d + pcie_dma_cost, stamped created = call + d.
+  // The queue's pipeline is idle by then, so the reply's descriptor is
+  // published one preprocessing window after that arrival.
   Testbed bed(BaseConfig(Mode::kBaseline));
   constexpr uint16_t kOwner = 7;
   const sim::Duration d = sim::Micros(5);
@@ -324,14 +326,12 @@ TEST(TestbedTest, DelayedVmReplyWaitsInTheArena) {
     bed.sim().Schedule(d / 2, [&] { slots_mid_handover = pool.in_use(); });
   });
   int replies = 0;
-  bed.RegisterWireSink(kOwner, [&](const hw::IoPacket&, sim::SimTime) { ++replies; });
-  sim::SimTime reply_ingress = 0;
+  sim::SimTime reply_ring_push = 0;
   sim::SimTime reply_created = 0;
-  bed.SetIngressTap([&](uint32_t, const hw::IoPacket& pkt) {
-    if (pkt.kind == hw::IoKind::kNetTx) {
-      reply_ingress = bed.sim().Now();
-      reply_created = pkt.created;
-    }
+  bed.RegisterWireSink(kOwner, [&](const hw::IoPacket& pkt, sim::SimTime) {
+    ++replies;
+    reply_ring_push = pkt.ring_push;
+    reply_created = pkt.created;
   });
 
   hw::IoPacket request;
@@ -344,7 +344,9 @@ TEST(TestbedTest, DelayedVmReplyWaitsInTheArena) {
   ASSERT_GT(call, 0u);
   EXPECT_EQ(slots_after, slots_before + 1);
   EXPECT_EQ(slots_mid_handover, 1u);  // The request is freed; the reply waits.
-  EXPECT_EQ(reply_ingress, call + d + bed.config().pcie_dma_cost);
+  const hw::AcceleratorConfig& accel = bed.config().accelerator;
+  EXPECT_EQ(reply_ring_push, call + d + bed.config().pcie_dma_cost +
+                                 accel.preprocess_latency + accel.transfer_latency);
   EXPECT_EQ(reply_created, call + d);
   EXPECT_EQ(replies, 1);
   EXPECT_EQ(pool.in_use(), 0u);

@@ -1,11 +1,10 @@
-// Scenario engine tests: the TCPT trace format, record -> replay fidelity,
-// chaos injection determinism, and the end-to-end DDoS detection story.
+// Scenario engine tests: cluster crash / restart, chaos injection
+// determinism, and the end-to-end DDoS detection story.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "src/scenario/generators.h"
 #include "src/scenario/library.h"
 #include "src/scenario/scenario.h"
-#include "src/scenario/trace_format.h"
 #include "src/sim/logging.h"
 
 namespace taichi {
@@ -27,243 +25,6 @@ fleet::ClusterConfig SmallCluster(int nodes, uint64_t seed) {
   cfg.epoch = sim::Millis(5);
   cfg.node.mode = exp::Mode::kTaiChi;
   return cfg;
-}
-
-scenario::PacketRecord MakeRecord(sim::SimTime t, uint16_t node) {
-  scenario::PacketRecord rec;
-  rec.time = t;
-  rec.node = node;
-  rec.queue = 3;
-  rec.pkt.id = 0x1122334455667788ull;
-  rec.pkt.kind = hw::IoKind::kNetTx;
-  rec.pkt.size_bytes = 1500;
-  rec.pkt.flow = 0xfeedbeefull;
-  rec.pkt.user_tag = 0xabcdefull;
-  rec.pkt.dp_cost_hint = 250;
-  rec.pkt.flow_key.src_ip = 0x0a000001;
-  rec.pkt.flow_key.dst_ip = 0xc6336405;  // 198.51.100.5.
-  rec.pkt.flow_key.src_port = 1029;
-  rec.pkt.flow_key.dst_port = 53;
-  rec.pkt.flow_key.proto = 17;
-  return rec;
-}
-
-// Returns `bytes` with the header's 64-bit record count set to `count`.
-std::string WithRecordCount(std::string bytes, uint64_t count) {
-  for (int i = 0; i < 8; ++i) {
-    bytes[16 + i] = static_cast<char>((count >> (8 * i)) & 0xff);
-  }
-  return bytes;
-}
-
-// Parses `bytes` into a non-empty sentinel trace. A rejected parse must leave
-// the sentinel untouched; an accepted one must re-serialize to exactly
-// `bytes`. Returns whether the parse was accepted.
-bool ParseIsCanonicalOrUntouched(std::string_view bytes) {
-  scenario::PacketTrace out;
-  out.node_count = 77;
-  out.records.push_back(MakeRecord(sim::Micros(1), 9));
-  const std::string sentinel = out.Serialize();
-  if (!scenario::PacketTrace::Parse(bytes, &out)) {
-    EXPECT_EQ(out.Serialize(), sentinel);
-    return false;
-  }
-  EXPECT_EQ(out.Serialize(), bytes);
-  return true;
-}
-
-// --- TCPT wire format --------------------------------------------------------
-
-TEST(PacketTrace, SerializeParseRoundTripPreservesEveryField) {
-  scenario::PacketTrace trace;
-  trace.node_count = 4;
-  trace.records.push_back(MakeRecord(sim::Micros(10), 0));
-  trace.records.push_back(MakeRecord(sim::Micros(10), 2));
-  trace.records.push_back(MakeRecord(sim::Micros(11), 1));
-
-  const std::string bytes = trace.Serialize();
-  EXPECT_EQ(bytes.size(), scenario::kPacketTraceHeaderBytes +
-                              trace.records.size() * scenario::kPacketTraceRecordBytes);
-
-  scenario::PacketTrace parsed;
-  ASSERT_TRUE(scenario::PacketTrace::Parse(bytes, &parsed));
-  EXPECT_EQ(parsed.node_count, trace.node_count);
-  ASSERT_EQ(parsed.records.size(), trace.records.size());
-  for (size_t i = 0; i < trace.records.size(); ++i) {
-    EXPECT_TRUE(parsed.records[i] == trace.records[i]) << "record " << i;
-  }
-  // Re-serializing the parse reproduces the bytes: the format is canonical.
-  EXPECT_EQ(parsed.Serialize(), bytes);
-}
-
-TEST(PacketTrace, ParseRejectsCorruptInput) {
-  scenario::PacketTrace trace;
-  trace.node_count = 1;
-  trace.records.push_back(MakeRecord(sim::Micros(5), 0));
-  const std::string good = trace.Serialize();
-
-  scenario::PacketTrace out;
-  out.node_count = 77;  // Sentinel: a failed parse must leave `out` untouched.
-
-  std::string bad = good;
-  bad[0] ^= 0x01;  // Magic.
-  EXPECT_FALSE(scenario::PacketTrace::Parse(bad, &out));
-
-  bad = good;
-  bad[4] = 9;  // Version.
-  EXPECT_FALSE(scenario::PacketTrace::Parse(bad, &out));
-
-  bad = good;
-  bad[12] = 1;  // Reserved header word must be zero.
-  EXPECT_FALSE(scenario::PacketTrace::Parse(bad, &out));
-
-  // Truncation: drop the last byte.
-  EXPECT_FALSE(scenario::PacketTrace::Parse(
-      std::string_view(good.data(), good.size() - 1), &out));
-
-  bad = good;
-  bad[scenario::kPacketTraceHeaderBytes + 59] = 1;  // Record pad must be zero.
-  EXPECT_FALSE(scenario::PacketTrace::Parse(bad, &out));
-
-  bad = good;
-  bad[scenario::kPacketTraceHeaderBytes + 56] = 7;  // Invalid IoKind.
-  EXPECT_FALSE(scenario::PacketTrace::Parse(bad, &out));
-
-  // Record counts whose byte size wraps 2^64 back onto the real size:
-  // 24 + 2^58 * 64 is 24 and 24 + (2^58 + 1) * 64 is 88 modulo 2^64.
-  constexpr uint64_t kWraps = uint64_t{1} << 58;
-  EXPECT_FALSE(scenario::PacketTrace::Parse(
-      WithRecordCount(good.substr(0, scenario::kPacketTraceHeaderBytes), kWraps), &out));
-  EXPECT_FALSE(scenario::PacketTrace::Parse(WithRecordCount(good, kWraps + 1), &out));
-
-  EXPECT_EQ(out.node_count, 77u);
-  EXPECT_TRUE(out.records.empty());
-  // The pristine bytes still parse.
-  EXPECT_TRUE(scenario::PacketTrace::Parse(good, &out));
-}
-
-TEST(PacketTrace, MutationCorpusIsRejectedOrCanonical) {
-  // A deterministic corpus of damaged traces: every parse either fails and
-  // leaves its output alone, or succeeds and re-serializes to its input.
-  scenario::PacketTrace trace;
-  trace.node_count = 4;
-  trace.records.push_back(MakeRecord(sim::Micros(10), 0));
-  trace.records.push_back(MakeRecord(sim::Micros(10), 2));
-  trace.records.push_back(MakeRecord(sim::Micros(11), 1));
-  const std::string good = trace.Serialize();
-  constexpr size_t kHeader = scenario::kPacketTraceHeaderBytes;
-  constexpr size_t kRecord = scenario::kPacketTraceRecordBytes;
-  ASSERT_EQ(good.size(), kHeader + 3 * kRecord);
-  EXPECT_TRUE(ParseIsCanonicalOrUntouched(good));
-
-  // Every truncation.
-  for (size_t len = 0; len < good.size(); ++len) {
-    EXPECT_FALSE(ParseIsCanonicalOrUntouched(std::string_view(good.data(), len)))
-        << "truncated to " << len << " bytes";
-  }
-
-  // Every single-bit flip in the header and the first record. Flips in the
-  // magic, version, reserved word, record count and record padding must be
-  // rejected; the node count and the payload fields carry any value.
-  size_t accepted = 0;
-  for (size_t byte = 0; byte < kHeader + kRecord; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string bad = good;
-      bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
-      const bool ok = ParseIsCanonicalOrUntouched(bad);
-      accepted += ok ? 1 : 0;
-      const bool node_count = byte >= 8 && byte < 12;
-      const bool io_kind = byte == kHeader + 56;  // Valid or not, by value.
-      const bool must_reject =
-          byte < kHeader ? !node_count : byte >= kHeader + 58;  // Record pad.
-      if (must_reject) {
-        EXPECT_FALSE(ok) << "flip of bit " << bit << " in byte " << byte;
-      } else if (!io_kind) {
-        EXPECT_TRUE(ok) << "flip of bit " << bit << " in byte " << byte;
-      }
-    }
-  }
-  EXPECT_GT(accepted, 0u);
-
-  // Record counts that disagree with the body, including ones whose byte
-  // size wraps 2^64.
-  for (const uint64_t count : {uint64_t{0}, uint64_t{2}, uint64_t{4}, uint64_t{1} << 58,
-                               (uint64_t{1} << 58) + 1, ~uint64_t{0}}) {
-    EXPECT_FALSE(ParseIsCanonicalOrUntouched(WithRecordCount(good, count)))
-        << "record count " << count;
-  }
-}
-
-// --- Record -> replay --------------------------------------------------------
-
-TEST(PacketTrace, ReplayedRunReRecordsByteIdentically) {
-  // Record a short live run, replay the trace into a fresh same-shape
-  // cluster while re-recording, and require the re-recorded trace to equal
-  // the original byte for byte — the format's (and the replayer's)
-  // correctness contract.
-  scenario::ScenarioOptions opts;
-  opts.nodes = 2;
-  opts.density = 1;
-  opts.seed = 99;
-  opts.observed = sim::Millis(60);
-
-  std::string original;
-  {
-    scenario::ScenarioSpec spec = scenario::BuildScenario("baseline", opts);
-    ASSERT_FALSE(spec.name.empty());
-    scenario::ScenarioRunner runner(std::move(spec));
-    scenario::PacketTraceRecorder recorder(&runner.cluster());
-    recorder.Attach();
-    runner.Run();
-    const scenario::PacketTrace trace = recorder.Finish();
-    ASSERT_GT(trace.records.size(), 1000u);
-    original = trace.Serialize();
-  }
-
-  std::string replayed;
-  {
-    scenario::PacketTrace trace;
-    ASSERT_TRUE(scenario::PacketTrace::Parse(original, &trace));
-    scenario::ScenarioSpec spec = scenario::BuildScenario("baseline", opts);
-    spec.expect = scenario::ScenarioExpectations{};
-    spec.expect.min_fleet_samples = 0;
-    auto* raw = new scenario::PacketTraceReplayer(std::move(trace));
-    spec.make_source = [raw](fleet::Cluster&) -> std::unique_ptr<scenario::TrafficSource> {
-      return std::unique_ptr<scenario::TrafficSource>(raw);
-    };
-    scenario::ScenarioRunner runner(std::move(spec));
-    scenario::PacketTraceRecorder recorder(&runner.cluster());
-    recorder.Attach();
-    runner.Run();
-    EXPECT_EQ(raw->dropped_late(), 0u);
-    EXPECT_GT(raw->injected(), 1000u);
-    replayed = recorder.Finish().Serialize();
-  }
-
-  EXPECT_EQ(original.size(), replayed.size());
-  EXPECT_TRUE(original == replayed) << "re-recorded replay diverged from the original trace";
-}
-
-TEST(PacketTrace, ReplaySkipsRecordsOnQueuesTheNodeLacks) {
-  // A well-formed trace may name an eNIC queue the replaying node does not
-  // have. That record is counted as undeliverable, never ingressed, and the
-  // replay carries on.
-  fleet::Cluster cluster(SmallCluster(1, 7));
-  const size_t queues = cluster.node(0).machine().accelerator().queue_count();
-  ASSERT_GT(queues, 0u);
-  scenario::PacketTrace trace;
-  trace.node_count = 1;
-  trace.records.push_back(MakeRecord(cluster.Now() + sim::Micros(10), 0));
-  trace.records.back().queue = 0;
-  trace.records.push_back(MakeRecord(cluster.Now() + sim::Micros(20), 0));
-  trace.records.back().queue = static_cast<uint16_t>(queues);
-
-  scenario::PacketTraceReplayer replayer(std::move(trace));
-  replayer.Start(cluster);
-  cluster.RunFor(sim::Millis(1));
-  EXPECT_EQ(replayer.injected(), 1u);
-  EXPECT_EQ(replayer.dropped_late(), 1u);
-  replayer.Stop(cluster);
 }
 
 // --- Cluster crash / restart -------------------------------------------------
